@@ -6,39 +6,37 @@
                                              §3.3, register pressure)
       dune exec bench/main.exe -- --timings   -- Bechamel wall-clock benches,
                                                  one Test.make per table
-      dune exec bench/main.exe -- --json      -- write BENCH_counts.json and
-                                                 BENCH_timings.json
+      dune exec bench/main.exe -- --json      -- write BENCH_counts.json (the
+                                                 paper's counts, nothing else)
+                                                 and BENCH_timings.json
+                                                 (everything about the run)
       dune exec bench/main.exe -- --json --via-daemon SOCK
-                                              -- counts grid through a running
+                                              -- the grid through a running
                                                  rpcc serve daemon (cached)
       dune exec bench/main.exe -- --json --via-fleet N [--plant-crash]
-                                              -- counts grid through a
+                                              -- the grid through a
                                                  supervised N-shard fleet;
                                                  --plant-crash SIGKILLs a
-                                                 shard mid-campaign (the
-                                                 counts stay byte-identical)
+                                                 shard mid-campaign
       dune exec bench/main.exe -- --json --native [--cc-flags "-O2"]
                                               -- every cell executed through
-                                                 the compiled-C backend:
-                                                 BENCH_counts.json stays
-                                                 byte-identical, run_ms is
-                                                 the native binary's (10x+).
-                                                 Composes with --via-daemon /
-                                                 --via-fleet: jobs carry
-                                                 [mode: native] and each shard
-                                                 answers through its own
+                                                 the compiled-C backend's
                                                  degradation ladder (native →
-                                                 recompile-once → interp)
+                                                 recompile-once → interp),
+                                                 locally or, with
+                                                 --via-daemon/--via-fleet, on
+                                                 each shard
       dune exec bench/main.exe -- --json --native --plant-cc-failure
                                               -- fault drill: a planted broken
                                                  compiler fails every native
                                                  attempt; the campaign must
                                                  complete on the interpreter
-                                                 rung with exec.degraded_native
-                                                 counting the fallen cells
+                                                 rung
     v}
 
-    Adding [--verify-passes] to any mode reruns the whole experiment under
+    BENCH_counts.json is byte-identical across every one of these runs
+    (and across [-j] and [--resume]); see {!grid}.  Adding
+    [--verify-passes] to a local run reruns the whole experiment under
     translation validation and aborts on the first degraded pass or
     non-converged analysis — the full-suite soundness gate used by CI.
 
@@ -47,8 +45,6 @@
 
 open Rp_driver
 module I = Rp_exec.Interp
-
-let counts (r : I.result) = r.I.total
 
 (* [ptr_promoted] is the static §3.3 counter for the cell's compile: how
    many invariant-base groups pointer promotion rewrote.  Zero everywhere
@@ -61,6 +57,11 @@ type cell = {
   checksum : int;
   ptr_promoted : int;
 }
+
+let cell_of (st : Pipeline.stage_stats) (r : I.result) =
+  { ops = r.I.total.I.ops; loads = r.I.total.I.loads;
+    stores = r.I.total.I.stores; checksum = r.I.checksum;
+    ptr_promoted = st.Pipeline.ptr_promoted }
 
 (* --verify-passes: run every compile of the experiment under translation
    validation; any degraded pass or non-converged analysis aborts the
@@ -91,34 +92,32 @@ exception Quarantined of string
 
 type cell_result = Cok of cell | Cquarantined of string
 
-(** Compile and run, converting resource/runtime blowups to {!Quarantined}
-    (with the program named) while letting verification failures abort.
-    [should_stop] (supervised --json grid only) aborts the interpreter
-    cooperatively; the resulting resource-limit message still mentions
-    "external stop", which the supervised job uses to tell a deadline from
-    a deterministic fuel exhaustion. *)
-let run_raw ?should_stop pname (cfg : Config.t) source =
-  match
-    Pipeline.compile_and_run ?should_stop ~config:(apply_verify cfg) source
-  with
-  | exception I.Resource_limit m ->
+(** Run [f], converting resource/runtime blowups to {!Quarantined} (with
+    the program named) while letting verification failures through.
+    Under the supervised --json grid a run stopped by [should_stop] still
+    reports a resource limit mentioning "external stop", which the grid
+    job uses to tell a deadline from a deterministic fuel exhaustion. *)
+let quarantining pname f =
+  try f () with
+  | I.Resource_limit m ->
     raise (Quarantined (Printf.sprintf "%s: resource limit: %s" pname m))
-  | exception Rp_exec.Value.Runtime_error m ->
+  | Rp_exec.Value.Runtime_error m ->
     raise (Quarantined (Printf.sprintf "%s: runtime error: %s" pname m))
-  | exception Stack_overflow ->
-    raise (Quarantined (pname ^ ": interpreter stack overflow"))
-  | (prog, st, r) ->
-    assert_healthy pname st;
-    (prog, st, r)
+  | Stack_overflow -> raise (Quarantined (pname ^ ": interpreter stack overflow"))
+
+(** Compile and run on the interpreter. *)
+let run_raw ?should_stop pname (cfg : Config.t) source =
+  let ((_, st, _) as res) =
+    quarantining pname (fun () ->
+        Pipeline.compile_and_run ?should_stop ~config:(apply_verify cfg) source)
+  in
+  assert_healthy pname st;
+  res
 
 let run_config (p : Rp_suite.Programs.program) (cfg : Config.t) : cell_result =
   match run_raw p.Rp_suite.Programs.name cfg p.Rp_suite.Programs.source with
   | exception Quarantined m -> Cquarantined m
-  | (_, st, r) ->
-    let t = counts r in
-    Cok
-      { ops = t.I.ops; loads = t.I.loads; stores = t.I.stores;
-        checksum = r.I.checksum; ptr_promoted = st.Pipeline.ptr_promoted }
+  | (_, st, r) -> Cok (cell_of st r)
 
 (* memoize runs: the same (program, config) pair feeds several tables *)
 let cache : (string * string, cell_result) Hashtbl.t = Hashtbl.create 64
@@ -138,7 +137,7 @@ let cell_result (p : Rp_suite.Programs.program) (cname : string)
    so every table and both JSON documents are byte-identical at any -j. *)
 let jobs = ref 1
 
-(* Supervision knobs for the --json grid (see json_export):
+(* Supervision knobs for the local --json grid (see local_runs):
    --job-timeout gives every cell a wall-clock deadline, --retries bounds
    re-attempts before a cell is quarantined, --journal/--resume make the
    grid crash-resumable, --breaker-threshold trips a per-program circuit
@@ -153,25 +152,23 @@ let plant_hang : string option ref = ref None (* "program:config" *)
 let interrupted = Atomic.make false
 
 (* --native: run the --json grid's cells through the compiled-C backend
-   instead of the interpreter.  Counts must come out byte-identical (the
-   emitted code carries the interpreter's counters); run_ms becomes the
-   native binary's wall time.  Compiled binaries are cached in the
-   content-addressed store keyed by program × config × cc identity.
+   instead of the interpreter — locally through [native_cc], remotely by
+   sending [mode: native] jobs that each shard answers through its own
+   ladder.  Counts must come out byte-identical (the emitted code carries
+   the interpreter's counters); run_ms becomes the native binary's wall
+   time.  Compiled binaries are cached in the content-addressed store
+   keyed by program × config × cc identity.
 
    Every cell goes down the backend's degradation ladder: an
    infrastructure failure (cc crash, sandbox trip, garbled trailer,
    corrupt cached binary) recompiles once and then falls back to the
-   interpreter, recording the degradation instead of quarantining — the
-   counts document is byte-identical regardless of which rungs fired. *)
+   interpreter, recording the degradation in the timings document
+   instead of quarantining. *)
+let native = ref false
 let native_cc : Rp_backend.Native.cc option ref = ref None
 
-(* --native --via-daemon/--via-fleet: cells carry [mode: native] to the
-   shards, which answer through their own ladders *)
-let remote_native = ref false
-
-(* cells that fell past native all the way to the interpreter; worker
-   domains tick it concurrently *)
-let degraded_native = Atomic.make 0
+(* --plant-crash: the fleet chaos drill (see grid) *)
+let plant_crash = ref false
 
 (* forced at CLI-parse time, before the worker pool spawns: Lazy.force
    from two domains at once is a race (CamlinternalLazy.Undefined) *)
@@ -182,41 +179,21 @@ let native_cas =
     degradation ladder (native → recompile-once → interpreter).  Program
     outcomes (traps, resource limits) still quarantine the cell exactly
     as the interpreter path would — they are faithful answers, identical
-    on every rung.  Returns the native split (cc_ms, exec_ms, cache_hit,
-    mode) for the timings document. *)
+    on every rung. *)
 let run_native ?should_stop pname (cfg : Config.t) source cc =
   let config = apply_verify cfg in
   let prog, st = Pipeline.compile ~config source in
   assert_healthy pname st;
   let key = Pipeline.cache_key ~config source in
-  let cache = Lazy.force native_cas in
-  match
-    Rp_backend.Native.run_laddered ?deadline:!job_timeout ~cache ~key
-      ~interp:(fun () ->
-        let t0 = Rp_support.Clock.now () in
-        let r = I.run ?should_stop ?deadline:!job_timeout prog in
-        (r, (Rp_support.Clock.now () -. t0) *. 1000.))
-      ~cc:(Some cc) prog
-  with
-  | exception I.Resource_limit m ->
-    raise (Quarantined (Printf.sprintf "%s: resource limit: %s" pname m))
-  | exception Rp_exec.Value.Runtime_error m ->
-    raise (Quarantined (Printf.sprintf "%s: runtime error: %s" pname m))
-  | lad ->
-    let mode =
-      match lad.Rp_backend.Native.l_mode with
-      | `Native -> "native"
-      | `Interp ->
-        Atomic.incr degraded_native;
-        "interp"
-    in
-    ( st,
-      lad.Rp_backend.Native.l_result,
-      Some
-        ( lad.Rp_backend.Native.l_cc_ms,
-          lad.Rp_backend.Native.l_exec_ms,
-          lad.Rp_backend.Native.l_cache_hit,
-          mode ) )
+  ( st,
+    quarantining pname (fun () ->
+        Rp_backend.Native.run_laddered ?deadline:!job_timeout
+          ~cache:(Lazy.force native_cas) ~key
+          ~interp:(fun () ->
+            let t0 = Rp_support.Clock.now () in
+            let r = I.run ?should_stop ?deadline:!job_timeout prog in
+            (r, (Rp_support.Clock.now () -. t0) *. 1000.))
+          ~cc:(Some cc) prog) )
 
 (** Fill the memo cache for [cells] using [!jobs] worker domains.  Workers
     only compute ({!run_config} never prints); results land in the cache
@@ -347,6 +324,11 @@ let mlink_function () =
 (* §3.3: scalar promotion vs scalar + pointer-based promotion          *)
 (* ------------------------------------------------------------------ *)
 
+(* scalar promotion alone, then pointer-based promotion on top *)
+let s33_configs =
+  let scalar = { Config.default with Config.analysis = Config.Apointer } in
+  [ ("s33/scalar", scalar); ("s33/both", { scalar with Config.ptr_promote = true }) ]
+
 let section33 () =
   Fmt.pr "@.== Section 3.3: pointer-based promotion on top of scalar ==@.";
   Fmt.pr
@@ -354,12 +336,10 @@ let section33 () =
      ~0 everywhere except fft — the pointer-walk programs are this \
      reproduction's additions)@."
     "Program" "ops" "stores" "loads" "promoted";
-  let scalar_cfg = { Config.default with Config.analysis = Config.Apointer } in
-  let both_cfg = { scalar_cfg with Config.ptr_promote = true } in
   List.iter
     (fun (p : Rp_suite.Programs.program) ->
-      let a = cell p "s33/scalar" scalar_cfg in
-      let b = cell p "s33/both" both_cfg in
+      let cell_named cname = cell p cname (List.assoc cname s33_configs) in
+      let a = cell_named "s33/scalar" and b = cell_named "s33/both" in
       if a.checksum <> b.checksum then
         Fmt.failwith "checksum mismatch (3.3) for %s" p.Rp_suite.Programs.name;
       Fmt.pr "%-10s %14d %14d %14d %10d@." p.Rp_suite.Programs.name
@@ -368,248 +348,168 @@ let section33 () =
     Rp_suite.Programs.all
 
 (* ------------------------------------------------------------------ *)
-(* §5 register pressure: the water experiment                          *)
+(* §5 register pressure and the ablations of DESIGN.md §6             *)
 (* ------------------------------------------------------------------ *)
 
-let pressure () =
-  Fmt.pr "@.== Section 5: register pressure (water) ==@.";
-  Fmt.pr
-    "%-4s %-9s %12s %12s %12s   (paper: promotion causes spills and a net \
-     loss in tight register files)@."
-    "k" "promotion" "ops" "loads" "stores";
-  let water = Rp_suite.Programs.find "water" in
+(** A table of dynamic counts: one (ops, loads, stores) row per
+    [(label, label, program, cell name, config)], under two labelled
+    columns of the given widths and an optional note. *)
+type counts_table = {
+  title : string;
+  columns : (string * int) * (string * int);
+  note : string;
+  rows : (string * string * Rp_suite.Programs.program * string * Config.t) list;
+}
+
+let print_counts_table t =
+  let ((h1, w1), (h2, w2)) = t.columns in
+  Fmt.pr "@.== %s ==@." t.title;
+  Fmt.pr "%-*s %-*s %12s %12s %12s%s@." w1 h1 w2 h2 "ops" "loads" "stores"
+    (if t.note = "" then "" else "   (" ^ t.note ^ ")");
   List.iter
+    (fun (l1, l2, p, cname, cfg) ->
+      let c = cell p cname cfg in
+      Fmt.pr "%-*s %-*s %12d %12d %12d@." w1 l1 w2 l2 c.ops c.loads c.stores)
+    t.rows
+
+(* rows over named programs × named configurations *)
+let by_program prefix names configs =
+  List.concat_map
+    (fun name ->
+      let p = Rp_suite.Programs.find name in
+      List.map (fun (cname, cfg) -> (name, cname, p, prefix ^ cname, cfg)) configs)
+    names
+
+(* rows over water's register-file sizes × named configurations *)
+let by_k cell_name configs =
+  let water = Rp_suite.Programs.find "water" in
+  List.concat_map
     (fun k ->
-      List.iter
-        (fun promote ->
-          let cfg =
-            { Config.default with Config.analysis = Config.Amodref; promote; k }
-          in
-          let c = cell water (Printf.sprintf "water/k%d/%b" k promote) cfg in
-          Fmt.pr "%-4d %-9s %12d %12d %12d@." k
-            (if promote then "with" else "without")
-            c.ops c.loads c.stores)
-        [ false; true ])
+      List.map
+        (fun (cname, cfg) ->
+          (string_of_int k, cname, water, cell_name k cname, { cfg with Config.k }))
+        configs)
     [ 12; 16; 24; 32 ]
 
-(* ------------------------------------------------------------------ *)
-(* Ablations for the design decisions called out in DESIGN.md §6       *)
-(* ------------------------------------------------------------------ *)
-
-let ablations () =
-  Fmt.pr "@.== Ablation 1: what interprocedural analysis buys promotion ==@.";
-  Fmt.pr
-    "%-10s %-22s %12s %12s %12s   (without analysis every call carries ⊤ \
-     MOD/REF: loops containing calls — clean's emit, bc's dispatch — lose \
-     their promotions; call-free hot loops like mlink's keep the front \
-     end's direct-access precision)@."
-    "Program" "configuration" "ops" "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun (cname, cfg) ->
-          let c = cell p ("abl1/" ^ cname) cfg in
-          Fmt.pr "%-10s %-22s %12d %12d %12d@." name cname c.ops c.loads
-            c.stores)
-        [
-          ("none+promotion",
-           { Config.default with Config.analysis = Config.Anone });
-          ("modref+promotion", Config.default);
-        ])
-    [ "clean"; "bc"; "mlink" ];
-  Fmt.pr "@.== Ablation 2: unconditional exit stores (the paper's literal \
-          scheme) ==@.";
-  Fmt.pr
-    "%-10s %-22s %12s %12s %12s   (always_store adds write-backs for \
-     read-only promotions)@."
-    "Program" "configuration" "ops" "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun (cname, cfg) ->
-          let c = cell p ("abl2/" ^ cname) cfg in
-          Fmt.pr "%-10s %-22s %12d %12d %12d@." name cname c.ops c.loads
-            c.stores)
-        [
-          ("store-if-stored", Config.default);
-          ("always-store",
-           { Config.default with Config.always_store = true });
-        ])
-    [ "go"; "bison"; "gzip(dec)" ];
-  Fmt.pr "@.== Ablation 3: the optimizer without promotion vs promotion \
-          without the optimizer ==@.";
-  Fmt.pr "%-10s %-22s %12s %12s %12s@." "Program" "configuration" "ops"
-    "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun (cname, cfg) ->
-          let c = cell p ("abl3/" ^ cname) cfg in
-          Fmt.pr "%-10s %-22s %12d %12d %12d@." name cname c.ops c.loads
-            c.stores)
-        [
-          ("neither",
-           { Config.default with Config.promote = false; optimize = false });
-          ("optimizer-only", { Config.default with Config.promote = false });
-          ("promotion-only", { Config.default with Config.optimize = false });
-          ("both", Config.default);
-        ])
-    [ "mlink"; "clean" ];
-  Fmt.pr "@.== Ablation 4: the §7 pressure throttle (future work, \
-          implemented) ==@.";
-  Fmt.pr
-    "%-4s %-12s %12s %12s %12s   (water; the throttle keeps the \
-     least-referenced promotable values in memory instead of spilling)@."
-    "k" "promotion" "ops" "loads" "stores";
-  let water = Rp_suite.Programs.find "water" in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun (cname, cfg) ->
-          let cfg = { cfg with Config.k } in
-          let c = cell water (Printf.sprintf "abl4/%s/k%d" cname k) cfg in
-          Fmt.pr "%-4d %-12s %12d %12d %12d@." k cname c.ops c.loads c.stores)
-        [
-          ("without", { Config.default with Config.promote = false });
-          ("naive", Config.default);
-          ("throttled", { Config.default with Config.throttle = true });
-        ])
-    [ 12; 16; 24; 32 ];
-  Fmt.pr "@.== Ablation 5: global dead-store elimination (a §3.4 \
-          extension, off by default) ==@.";
-  Fmt.pr "%-10s %-12s %12s %12s %12s@." "Program" "configuration" "ops"
-    "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun (cname, cfg) ->
-          let c = cell p (Printf.sprintf "abl5/%s" cname) cfg in
-          Fmt.pr "%-10s %-12s %12d %12d %12d@." name cname c.ops c.loads
-            c.stores)
-        [
-          ("paper", Config.default);
-          ("paper+dse", { Config.default with Config.dse = true });
-        ])
-    [ "mlink"; "indent"; "gzip(enc)" ];
-  Fmt.pr "@.== Ablation 6: the analysis-precision ladder (with promotion) \
-          ==@.";
-  Fmt.pr
-    "%-10s %-9s %12s %12s %12s   (none < Steensgaard [20] < MOD/REF < \
-     Ruf-style points-to; the paper's claim is that the top rungs barely \
-     differ)@."
-    "Program" "analysis" "ops" "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun analysis ->
-          let cfg = { Config.default with Config.analysis } in
-          let c =
-            cell p (Printf.sprintf "abl6/%s" (Config.analysis_name analysis))
-              cfg
-          in
-          Fmt.pr "%-10s %-9s %12d %12d %12d@." name
-            (Config.analysis_name analysis) c.ops c.loads c.stores)
-        [ Config.Anone; Config.Asteens; Config.Amodref; Config.Apointer ])
-    [ "fft"; "bc"; "clean"; "go" ]
-
-(* ------------------------------------------------------------------ *)
-(* The cell inventory                                                  *)
-(* ------------------------------------------------------------------ *)
+let counts_tables () =
+  let d = Config.default in
+  let program = ("Program", 10) in
+  [
+    {
+      title = "Section 5: register pressure (water)";
+      columns = (("k", 4), ("promotion", 9));
+      note =
+        "paper: promotion causes spills and a net loss in tight register \
+         files";
+      rows =
+        by_k
+          (fun k cname -> Printf.sprintf "water/k%d/%b" k (cname = "with"))
+          [
+            ("without", { d with Config.analysis = Config.Amodref; promote = false });
+            ("with", { d with Config.analysis = Config.Amodref; promote = true });
+          ];
+    };
+    {
+      title = "Ablation 1: what interprocedural analysis buys promotion";
+      columns = (program, ("configuration", 22));
+      note =
+        "without analysis every call carries ⊤ MOD/REF: loops containing \
+         calls — clean's emit, bc's dispatch — lose their promotions; \
+         call-free hot loops like mlink's keep the front end's \
+         direct-access precision";
+      rows =
+        by_program "abl1/" [ "clean"; "bc"; "mlink" ]
+          [
+            ("none+promotion", { d with Config.analysis = Config.Anone });
+            ("modref+promotion", d);
+          ];
+    };
+    {
+      title = "Ablation 2: unconditional exit stores (the paper's literal scheme)";
+      columns = (program, ("configuration", 22));
+      note = "always_store adds write-backs for read-only promotions";
+      rows =
+        by_program "abl2/" [ "go"; "bison"; "gzip(dec)" ]
+          [
+            ("store-if-stored", d);
+            ("always-store", { d with Config.always_store = true });
+          ];
+    };
+    {
+      title =
+        "Ablation 3: the optimizer without promotion vs promotion without \
+         the optimizer";
+      columns = (program, ("configuration", 22));
+      note = "";
+      rows =
+        by_program "abl3/" [ "mlink"; "clean" ]
+          [
+            ("neither", { d with Config.promote = false; optimize = false });
+            ("optimizer-only", { d with Config.promote = false });
+            ("promotion-only", { d with Config.optimize = false });
+            ("both", d);
+          ];
+    };
+    {
+      title = "Ablation 4: the §7 pressure throttle (future work, implemented)";
+      columns = (("k", 4), ("promotion", 12));
+      note =
+        "water; the throttle keeps the least-referenced promotable values \
+         in memory instead of spilling";
+      rows =
+        by_k
+          (fun k cname -> Printf.sprintf "abl4/%s/k%d" cname k)
+          [
+            ("without", { d with Config.promote = false });
+            ("naive", d);
+            ("throttled", { d with Config.throttle = true });
+          ];
+    };
+    {
+      title =
+        "Ablation 5: global dead-store elimination (a §3.4 extension, off \
+         by default)";
+      columns = (program, ("configuration", 12));
+      note = "";
+      rows =
+        by_program "abl5/" [ "mlink"; "indent"; "gzip(enc)" ]
+          [ ("paper", d); ("paper+dse", { d with Config.dse = true }) ];
+    };
+    {
+      title = "Ablation 6: the analysis-precision ladder (with promotion)";
+      columns = (program, ("analysis", 9));
+      note =
+        "none < Steensgaard [20] < MOD/REF < Ruf-style points-to; the \
+         paper's claim is that the top rungs barely differ";
+      rows =
+        by_program "abl6/" [ "fft"; "bc"; "clean"; "go" ]
+          (List.map
+             (fun analysis ->
+               (Config.analysis_name analysis, { d with Config.analysis }))
+             [ Config.Anone; Config.Asteens; Config.Amodref; Config.Apointer ]);
+    };
+  ]
 
 (** Every (program, cell-name, config) the table sections will request,
-    in request order — the parallel prewarm's work list.  Kept next to
-    the sections above; a cell missing here is still correct, just
-    computed serially on first use. *)
+    in request order — the parallel prewarm's work list. *)
 let table_cells () : (Rp_suite.Programs.program * string * Config.t) list =
-  let cells = ref [] in
-  let add p cname cfg = cells := (p, cname, cfg) :: !cells in
-  (* Figures 5-7: the paper grid, every program *)
-  List.iter
+  List.concat_map
     (fun (p : Rp_suite.Programs.program) ->
-      List.iter (fun (cname, cfg) -> add p cname cfg) Config.paper_grid)
-    Rp_suite.Programs.all;
-  (* §3.3 *)
-  let scalar_cfg = { Config.default with Config.analysis = Config.Apointer } in
-  let both_cfg = { scalar_cfg with Config.ptr_promote = true } in
-  List.iter
-    (fun p ->
-      add p "s33/scalar" scalar_cfg;
-      add p "s33/both" both_cfg)
-    Rp_suite.Programs.all;
-  (* §5 register pressure *)
-  let water = Rp_suite.Programs.find "water" in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun promote ->
-          add water
-            (Printf.sprintf "water/k%d/%b" k promote)
-            { Config.default with Config.analysis = Config.Amodref; promote; k })
-        [ false; true ])
-    [ 12; 16; 24; 32 ];
-  (* ablations 1-6 *)
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      add p "abl1/none+promotion"
-        { Config.default with Config.analysis = Config.Anone };
-      add p "abl1/modref+promotion" Config.default)
-    [ "clean"; "bc"; "mlink" ];
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      add p "abl2/store-if-stored" Config.default;
-      add p "abl2/always-store"
-        { Config.default with Config.always_store = true })
-    [ "go"; "bison"; "gzip(dec)" ];
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      add p "abl3/neither"
-        { Config.default with Config.promote = false; optimize = false };
-      add p "abl3/optimizer-only" { Config.default with Config.promote = false };
-      add p "abl3/promotion-only" { Config.default with Config.optimize = false };
-      add p "abl3/both" Config.default)
-    [ "mlink"; "clean" ];
-  List.iter
-    (fun k ->
-      List.iter
-        (fun (cname, cfg) ->
-          add water (Printf.sprintf "abl4/%s/k%d" cname k) { cfg with Config.k })
-        [
-          ("without", { Config.default with Config.promote = false });
-          ("naive", Config.default);
-          ("throttled", { Config.default with Config.throttle = true });
-        ])
-    [ 12; 16; 24; 32 ];
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      add p "abl5/paper" Config.default;
-      add p "abl5/paper+dse" { Config.default with Config.dse = true })
-    [ "mlink"; "indent"; "gzip(enc)" ];
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun analysis ->
-          add p
-            (Printf.sprintf "abl6/%s" (Config.analysis_name analysis))
-            { Config.default with Config.analysis })
-        [ Config.Anone; Config.Asteens; Config.Amodref; Config.Apointer ])
-    [ "fft"; "bc"; "clean"; "go" ];
-  List.rev !cells
+      List.map (fun (cname, cfg) -> (p, cname, cfg)) (Config.paper_grid @ s33_configs))
+    Rp_suite.Programs.all
+  @ List.concat_map
+      (fun t -> List.map (fun (_, _, p, cname, cfg) -> (p, cname, cfg)) t.rows)
+      (counts_tables ())
 
 (* ------------------------------------------------------------------ *)
-(* --json: machine-readable exports                                    *)
+(* --json: the paper grid, locally or through rpcc serve               *)
 (* ------------------------------------------------------------------ *)
 
 module Json = Rp_support.Json
+module R = Rp_support.Resilience
+module Breaker = Rp_support.Retry.Breaker
+module Fleet = Rp_serve.Fleet
+module Router = Rp_serve.Fleet_client
 
 let cell_json = function
   | Cok c ->
@@ -623,8 +523,6 @@ let cell_json = function
       ]
   | Cquarantined reason -> Json.Obj [ ("degraded", Json.Str reason) ]
 
-(* schema v3 cells carry ptr_promoted; v2 journal records (written before
-   the field existed) are still resumable, defaulting the counter to 0 *)
 let cell_of_json = function
   | Json.Obj
       [
@@ -635,22 +533,14 @@ let cell_of_json = function
         ("ptr_promoted", Json.Int ptr_promoted);
       ] ->
     Some (Cok { ops; loads; stores; checksum; ptr_promoted })
-  | Json.Obj
-      [
-        ("ops", Json.Int ops);
-        ("loads", Json.Int loads);
-        ("stores", Json.Int stores);
-        ("checksum", Json.Int checksum);
-      ] ->
-    Some (Cok { ops; loads; stores; checksum; ptr_promoted = 0 })
   | Json.Obj [ ("degraded", Json.Str reason) ] -> Some (Cquarantined reason)
   | _ -> None
 
-(** Host/toolchain provenance for the timings document (schema v3):
-    timings are machine-dependent, so the machine is named in the file —
-    kernel/arch, the C compiler identity (even for interpreted runs, so
-    an interp-vs-native pair taken on one host is self-describing), and
-    the OCaml word size. *)
+(** Host/toolchain provenance for the timings document: timings are
+    machine-dependent, so the machine is named in the file — kernel/arch,
+    the C compiler identity (even for interpreted runs, so an
+    interp-vs-native pair taken on one host is self-describing), and the
+    OCaml word size. *)
 let host_json () =
   let first_line_of cmd =
     try
@@ -687,346 +577,162 @@ let has_substring hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(** Write [BENCH_counts.json] (program × grid config × dynamic counts,
-    schema v2: plus the run's resilience counters; v3: six-config grid and
-    per-cell [ptr_promoted]; v4: per-program breaker snapshots inside
-    [resilience]; v5: the resilience object gains the fleet
-    [failovers]/[respawns] counters) and [BENCH_timings.json]
-    (program × config × per-pass wall-clock and analysis fixpoint
-    iterations, schema v2: plus per-cell wall/run time, the job count, and
-    the grid's wall-clock).  Counts are deterministic — byte-identical at
-    every [-j] — and serve as a committable baseline; timings are
-    machine-dependent and meant for relative comparison between runs on one
-    machine.
+(** One finished grid cell: its paper counts, the fields of its
+    timings-document entry, whether a native request was answered by the
+    ladder's interpreter rung, and a [--verify-passes] failure that must
+    abort the bench. *)
+type run = {
+  cell : cell_result;
+  timing : (string * Json.t) list;
+  fell_to_interp : bool;
+  fatal : string option;
+}
 
-    Cells run under {!Rp_support.Pool.run_supervised} on [!jobs] worker
-    domains; a cell is one compile+run of one (program, config) pair, and
-    results are regrouped into (program × config) rows in grid order, so
-    document structure never depends on scheduling.  With [--job-timeout]
-    each cell gets a wall-clock deadline (enforced cooperatively through
-    the interpreter's [should_stop] polling and by the pool's wedge
-    detector); a cell that exhausts its [--retries] budget lands as a
-    degraded cell instead of aborting the grid.  A per-program circuit
-    breaker ([--breaker-threshold] consecutive failures) short-circuits
-    the remaining cells of a systematically bad program.  [--journal]
-    appends one fsynced record per finished cell; [--resume] reloads such
-    a journal and recomputes only the missing cells.  SIGINT flushes the
+let degraded reason =
+  {
+    cell = Cquarantined reason;
+    timing = [ ("degraded", Json.Str reason) ];
+    fell_to_interp = false;
+    fatal = None;
+  }
+
+(** One local cell: a compile+run on a supervised pool worker, behind the
+    per-program circuit breaker.  A cell that exhausts its retries or
+    traps lands as a degraded cell instead of aborting the grid. *)
+let local_run breaker ~should_stop
+    ((p : Rp_suite.Programs.program), cname, cfg) =
+  let pname = p.Rp_suite.Programs.name in
+  if !plant_hang = Some (pname ^ ":" ^ cname) then begin
+    (* test fixture for the supervision layer: a cell that never
+       terminates on its own but polls its deadline cooperatively *)
+    while not (should_stop ()) do
+      ignore (Sys.opaque_identity 0)
+    done;
+    raise Exit
+  end;
+  let t0 = Rp_support.Clock.now () in
+  match
+    Breaker.call breaker ~key:pname (fun () ->
+        match !native_cc with
+        | None ->
+          let _, st, r =
+            run_raw ~should_stop pname cfg p.Rp_suite.Programs.source
+          in
+          (st, r, None)
+        | Some cc ->
+          let st, lad =
+            run_native ~should_stop pname cfg p.Rp_suite.Programs.source cc
+          in
+          (st, lad.Rp_backend.Native.l_result, Some lad))
+  with
+  | Ok (st, r, lad) ->
+    let wall = Rp_support.Clock.elapsed t0 in
+    (* the cell is one compile followed by one run; interpreted, the
+       run's share is wall minus compile; native, it is the binary's
+       measured wall time, and exec_mode names the rung that answered *)
+    let run_ms, native =
+      match lad with
+      | None -> (1000. *. max 0. (wall -. Pipeline.total_time st), [])
+      | Some l ->
+        ( l.Rp_backend.Native.l_exec_ms,
+          [
+            ("cc_ms", Json.Float l.Rp_backend.Native.l_cc_ms);
+            ("cc_cache_hit", Json.Bool l.Rp_backend.Native.l_cache_hit);
+            ( "exec_mode",
+              Json.Str
+                (match l.Rp_backend.Native.l_mode with
+                | `Native -> "native"
+                | `Interp -> "interp") );
+          ] )
+    in
+    {
+      cell = Cok (cell_of st r);
+      timing =
+        (("wall_ms", Json.Float (1000. *. wall))
+         :: ("run_ms", Json.Float run_ms) :: native)
+        @ [ ("compile", Pipeline.stats_json cfg st) ];
+      fell_to_interp =
+        (match lad with
+        | Some { Rp_backend.Native.l_mode = `Interp; _ } -> true
+        | _ -> false);
+      fatal = None;
+    }
+  | Error (Breaker.Open_circuit key) ->
+    degraded (Printf.sprintf "%s under %s: circuit open for %s" pname cname key)
+  | Error (Quarantined m) when has_substring m "external stop" ->
+    (* the interpreter was stopped by the pool's deadline, not by its
+       own fuel: re-raise so the pool classifies the attempt as timed
+       out and applies the retry policy *)
+    raise (Quarantined m)
+  | Error (Quarantined m) -> degraded m
+  | Error (Failure m) -> { (degraded m) with fatal = Some m }
+  | Error e -> raise e
+
+(** The local grid: cells run under {!Rp_support.Pool.run_journaled} on
+    [!jobs] worker domains, so [--journal] records every finished cell
+    and [--resume] recomputes only the missing ones.  SIGINT flushes the
     journal and exits 130.  Under [--verify-passes] a degraded pass is
     still fatal: the first failing cell in grid order aborts, as in a
     sequential run. *)
-let json_export () =
-  let module R = Rp_support.Resilience in
-  let resil = R.create () in
-  let grid_t0 = Rp_support.Clock.now () in
-  let flat =
-    List.concat_map
-      (fun (p : Rp_suite.Programs.program) ->
-        List.map (fun (cname, cfg) -> (p, cname, cfg)) Config.paper_grid)
-      Rp_suite.Programs.all
-  in
-  (* --resume: cells already finished by a previous (possibly killed) run *)
-  let resumed : (string * string, cell_result) Hashtbl.t = Hashtbl.create 64 in
-  Option.iter
-    (fun path ->
-      List.iter
-        (function
-          | Json.Obj
-              [
-                ("program", Json.Str p); ("config", Json.Str c); ("cell", cj);
-              ]
-            when not (Hashtbl.mem resumed (p, c)) ->
-            Option.iter
-              (fun cell ->
-                Hashtbl.replace resumed (p, c) cell;
-                R.tick resil R.Resumed)
-              (cell_of_json cj)
-          | _ -> ())
-        (Rp_support.Journal.load path))
-    !resume_path;
-  let fresh =
-    Array.of_list
-      (List.filter
-         (fun ((p : Rp_suite.Programs.program), cname, _) ->
-           not (Hashtbl.mem resumed (p.Rp_suite.Programs.name, cname)))
-         flat)
-  in
-  let jwriter = Option.map Rp_support.Journal.create !journal_path in
-  let breaker =
-    Rp_support.Retry.Breaker.create ~threshold:!breaker_threshold ()
-  in
-  let planted pname cname =
-    match !plant_hang with
-    | Some s -> s = pname ^ ":" ^ cname
-    | None -> false
-  in
-  (* One supervised job = one cell.  The last tuple slot carries a fatal
-     --verify-passes failure out of the pool: it must abort the whole
-     bench (the CI soundness gate), not degrade to a quarantined cell, so
-     it is not allowed to escape as an exception the pool would retry. *)
-  let job ~should_stop ((p : Rp_suite.Programs.program), cname, cfg) =
-    let pname = p.Rp_suite.Programs.name in
-    if planted pname cname then begin
-      (* test fixture for the supervision layer: a cell that never
-         terminates on its own but polls its deadline cooperatively *)
-      while not (should_stop ()) do
-        ignore (Sys.opaque_identity 0)
-      done;
-      raise Exit
-    end;
-    let t0 = Rp_support.Clock.now () in
-    match
-      Rp_support.Retry.Breaker.call breaker ~key:pname (fun () ->
-          match !native_cc with
-          | None ->
-            let _, st, r =
-              run_raw ~should_stop pname cfg p.Rp_suite.Programs.source
-            in
-            (st, r, None)
-          | Some cc ->
-            run_native ~should_stop pname cfg p.Rp_suite.Programs.source cc)
-    with
-    | Ok (st, r, nat) ->
-      let wall = Rp_support.Clock.elapsed t0 in
-      let t = counts r in
-      ( cname,
-        Some (st, nat),
-        Cok
-          { ops = t.I.ops; loads = t.I.loads; stores = t.I.stores;
-            checksum = r.I.checksum; ptr_promoted = st.Pipeline.ptr_promoted },
-        wall,
-        None )
-    | Error (Rp_support.Retry.Breaker.Open_circuit key) ->
-      ( cname,
-        None,
-        Cquarantined
-          (Printf.sprintf "%s under %s: circuit open for %s" pname cname key),
-        0.,
-        None )
-    | Error (Quarantined m) when has_substring m "external stop" ->
-      (* the interpreter was stopped by the pool's deadline, not by its
-         own fuel: re-raise so the pool classifies the attempt as timed
-         out and applies the retry policy *)
-      raise (Quarantined m)
-    | Error (Quarantined m) -> (cname, None, Cquarantined m, 0., None)
-    | Error (Failure m) -> (cname, None, Cquarantined m, 0., Some m)
-    | Error e -> raise e
-  in
+let local_runs resil breaker items =
+  let name (p : Rp_suite.Programs.program) = p.Rp_suite.Programs.name in
   let results =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Rp_support.Journal.close jwriter)
-      (fun () ->
-        let on_result k o =
-          match (o, jwriter) with
-          | Ok (cname, _, c, _, None), Some w ->
-            let ((p : Rp_suite.Programs.program), _, _) = fresh.(k) in
-            Rp_support.Journal.record w
-              (Json.Obj
-                 [
-                   ("program", Json.Str p.Rp_suite.Programs.name);
-                   ("config", Json.Str cname);
-                   ("cell", cell_json c);
-                 ])
-          | _ -> ()
-        in
-        Rp_support.Pool.run_supervised ~jobs:!jobs ?timeout:!job_timeout
-          ~retries:!job_retries
-          ~cancel:(fun () -> Atomic.get interrupted)
-          ~resilience:resil ~on_result job fresh)
+    Rp_support.Pool.run_journaled ~jobs:!jobs ?timeout:!job_timeout
+      ~retries:!job_retries
+      ~cancel:(fun () -> Atomic.get interrupted)
+      ~resilience:resil ?journal:!journal_path ?resume:!resume_path
+      ~key:(fun (p, cname, _) -> (name p, cname))
+      ~encode:(fun (p, cname, _) r ->
+        if r.fatal <> None then None
+        else
+          Some
+            (Json.Obj
+               [
+                 ("program", Json.Str (name p));
+                 ("config", Json.Str cname);
+                 ("cell", cell_json r.cell);
+               ]))
+      ~decode:(function
+        | Json.Obj
+            [ ("program", Json.Str p); ("config", Json.Str c); ("cell", cj) ]
+          ->
+          Option.map
+            (fun cell ->
+              ( (p, c),
+                (* the timing was spent in the journaled run *)
+                {
+                  cell;
+                  timing = [ ("resumed", Json.Bool true) ];
+                  fell_to_interp = false;
+                  fatal = None;
+                } ))
+            (cell_of_json cj)
+        | _ -> None)
+      (local_run breaker) (Array.of_list items)
   in
   if Atomic.get interrupted then begin
     let finished =
-      Hashtbl.length resumed
-      + Array.fold_left
-          (fun n o -> match o with Ok _ -> n + 1 | Error _ -> n)
-          0 results
-    in
-    let hint =
-      match !journal_path with
-      | Some p -> Printf.sprintf "; resume with --resume %s" p
-      | None -> " (no --journal, completed work is lost)"
+      Array.fold_left (fun n o -> if Result.is_ok o then n + 1 else n) 0 results
     in
     Fmt.epr "interrupted after %d/%d finished cells%s@." finished
-      (List.length flat) hint;
+      (Array.length results)
+      (match !journal_path with
+      | Some p -> Printf.sprintf "; resume with --resume %s" p
+      | None -> " (no --journal, completed work is lost)");
     exit 130
   end;
-  (* --verify-passes: the first fatal cell in grid order aborts, with the
-     same exception a sequential run would have raised *)
   Array.iter
-    (function Ok (_, _, _, _, Some m) -> failwith m | _ -> ())
+    (function Ok { fatal = Some m; _ } -> failwith m | _ -> ())
     results;
-  R.set resil R.Breaker_trip (Rp_support.Retry.Breaker.trips breaker);
-  let grid_wall = Rp_support.Clock.elapsed grid_t0 in
-  let fi = ref 0 in
-  let cells =
-    Array.of_list
-      (List.map
-         (fun ((p : Rp_suite.Programs.program), cname, _) ->
-           match
-             Hashtbl.find_opt resumed (p.Rp_suite.Programs.name, cname)
-           with
-           | Some c -> (cname, None, c, 0., true)
-           | None ->
-             let k = !fi in
-             incr fi;
-             (match results.(k) with
-             | Ok (cname, st, c, wall, _) -> (cname, st, c, wall, false)
-             | Error f ->
-               ( cname,
-                 None,
-                 Cquarantined
-                   (Fmt.str "%s under %s: %a" p.Rp_suite.Programs.name cname
-                      Rp_support.Pool.pp_job_failure f),
-                 0.,
-                 false )))
-         flat)
-  in
-  let nconfigs = List.length Config.paper_grid in
-  let rows =
-    List.mapi
-      (fun i (p : Rp_suite.Programs.program) ->
-        ( p.Rp_suite.Programs.name,
-          List.init nconfigs (fun j -> cells.((i * nconfigs) + j)) ))
-      Rp_suite.Programs.all
-  in
-  let counts_doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "rpcc-bench-counts/6");
-        ( "programs",
-          Json.Obj
-            (List.map
-               (fun (pname, per_config) ->
-                 ( pname,
-                   Json.Obj
-                     (List.map
-                        (fun (cname, _, c, _, _) -> (cname, cell_json c))
-                        per_config) ))
-               rows) );
-        (* v4: per-program breaker snapshots ride along so a grid that
-           tripped circuits says which programs and when *)
-        ( "resilience",
-          R.to_json
-            ~breakers:(Rp_support.Retry.Breaker.snapshots_json breaker)
-            resil );
-        (* v6: cells that a --native campaign served from the ladder's
-           interpreter rung.  Top-level, not per-cell, so the cells stay
-           byte-identical across modes; 0 on every healthy run of either
-           mode, nonzero only when native execution was requested and
-           genuinely unavailable (e.g. a planted cc failure) *)
-        ( "exec",
-          Json.Obj
-            [ ("degraded_native", Json.Int (Atomic.get degraded_native)) ] );
-      ]
-  in
-  let timings_doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "rpcc-bench-timings/4");
-        ("jobs", Json.Int !jobs);
-        ( "mode",
-          Json.Str (match !native_cc with Some _ -> "native" | None -> "interp")
-        );
-        ("host", host_json ());
-        ( "programs",
-          Json.Obj
-            (List.map
-               (fun (pname, per_config) ->
-                 ( pname,
-                   Json.Obj
-                     (List.map
-                        (fun (cname, st, c, wall, was_resumed) ->
-                          ( cname,
-                            match st with
-                            | Some (st, nat) ->
-                              let compile_s = Pipeline.total_time st in
-                              (* the cell is one compile followed by one
-                                 run; interpreted, the run's share is wall
-                                 minus compile; native, it is the binary's
-                                 measured wall time *)
-                              Json.Obj
-                                ([
-                                   ("wall_ms", Json.Float (1000. *. wall));
-                                   ( "run_ms",
-                                     Json.Float
-                                       (match nat with
-                                       | Some (_, exec_ms, _, _) -> exec_ms
-                                       | None ->
-                                         1000. *. max 0. (wall -. compile_s))
-                                   );
-                                 ]
-                                (* v4: exec_mode names the ladder rung
-                                   that answered a --native cell; the
-                                   mode-dependent telemetry lives here,
-                                   not in the counts document, which must
-                                   stay byte-identical across modes *)
-                                @ (match nat with
-                                  | Some (cc_ms, _, hit, mode) ->
-                                    [
-                                      ("cc_ms", Json.Float cc_ms);
-                                      ("cc_cache_hit", Json.Bool hit);
-                                      ("exec_mode", Json.Str mode);
-                                    ]
-                                  | None -> [])
-                                @ [
-                                    ( "compile",
-                                      Pipeline.stats_json
-                                        (List.assoc cname Config.paper_grid)
-                                        st );
-                                  ])
-                            | None when was_resumed ->
-                              (* timing was spent in the journaled run *)
-                              Json.Obj [ ("resumed", Json.Bool true) ]
-                            | None ->
-                              let reason =
-                                match c with
-                                | Cquarantined r -> r
-                                | Cok _ -> "quarantined"
-                              in
-                              Json.Obj [ ("degraded", Json.Str reason) ] ))
-                        per_config) ))
-               rows) );
-        ( "total_compile_ms",
-          Json.Float
-            (1000.
-            *. List.fold_left
-                 (fun acc (_, per_config) ->
-                   List.fold_left
-                     (fun acc (_, st, _, _, _) ->
-                       match st with
-                       | Some (st, _) -> acc +. Pipeline.total_time st
-                       | None -> acc)
-                     acc per_config)
-                 0. rows) );
-        ("grid_wall_ms", Json.Float (1000. *. grid_wall));
-      ]
-  in
-  Json.to_file "BENCH_counts.json" counts_doc;
-  Json.to_file "BENCH_timings.json" timings_doc;
-  if R.any resil then Fmt.epr "resilience: %a@." R.pp resil;
-  Fmt.pr "wrote BENCH_counts.json (%d programs x %d configs)@."
-    (List.length rows)
-    (List.length Config.paper_grid);
-  Fmt.pr "wrote BENCH_timings.json@."
-
-(* ------------------------------------------------------------------ *)
-(* --json --via-daemon / --via-fleet: the counts grid through rpcc     *)
-(* serve, single daemon or sharded fleet                               *)
-(* ------------------------------------------------------------------ *)
-
-(** The remote counts grid, shared between the single-daemon and fleet
-    exporters.  Requests go in batches of at most 32 per connection
-    (inside the daemon's default queue bound), responses come back in
-    request order, and the document is assembled in the same grid order
-    as {!json_export} — so via-daemon and via-fleet runs against healthy
-    or crashing backends all produce byte-identical [BENCH_counts.json]
-    files: responses are deterministic given the shared store, and the
-    exporter extracts only the count fields. *)
-
-let remote_flat () =
-  List.concat_map
-    (fun (p : Rp_suite.Programs.program) ->
-      List.map (fun (cname, cfg) -> (p, cname, cfg)) Config.paper_grid)
-    Rp_suite.Programs.all
+  R.set resil R.Breaker_trip (Breaker.trips breaker);
+  Array.map2
+    (fun (p, cname, _) -> function
+      | Ok r -> r
+      | Error f ->
+        degraded
+          (Fmt.str "%s under %s: %a" (name p) cname
+             Rp_support.Pool.pp_job_failure f))
+    (Array.of_list items) results
 
 let remote_req i ((p : Rp_suite.Programs.program), cname, _) =
   Json.Obj
@@ -1038,149 +744,50 @@ let remote_req i ((p : Rp_suite.Programs.program), cname, _) =
        ("src", Json.Str p.Rp_suite.Programs.source);
        ("config", Json.Str cname);
      ]
-    (* --native: the shard answers through its own degradation ladder
-       and reports the rung in the response's [exec] object; the counts
-       we extract are mode-independent by contract *)
-    @ (if !remote_native then [ ("mode", Json.Str "native") ] else []))
+    @ if !native then [ ("mode", Json.Str "native") ] else [])
 
 let rec chunks n = function
   | [] -> []
   | l ->
-    let rec take k = function
-      | x :: rest when k > 0 ->
-        let (head, tail) = take (k - 1) rest in
-        (x :: head, tail)
-      | rest -> ([], rest)
-    in
-    let (head, tail) = take n l in
-    head :: chunks n tail
+    List.filteri (fun i _ -> i < n) l
+    :: chunks n (List.filteri (fun i _ -> i >= n) l)
 
-let cell_of_response ((p : Rp_suite.Programs.program), cname, _) resp =
-    let pname = p.Rp_suite.Programs.name in
-    match Rp_serve.Protocol.response_status resp with
-    | "ok" -> (
-      let int_in doc k =
-        match Json.member k doc with Some (Json.Int i) -> Some i | _ -> None
-      in
+(** One remote cell: the counts of a daemon response, which carries the
+    compile's stats and, for native jobs, the rung that answered. *)
+let remote_run ((p : Rp_suite.Programs.program), cname, _) resp =
+  let at path =
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some resp) path
+  in
+  let int k =
+    match at [ "result"; k ] with Some (Json.Int i) -> Some i | _ -> None
+  in
+  let fail what =
+    degraded
+      (Printf.sprintf "%s under %s: %s" p.Rp_suite.Programs.name cname what)
+  in
+  match Rp_serve.Protocol.response_status resp with
+  | "ok" -> (
+    match (int "ops", int "loads", int "stores", int "checksum") with
+    | Some ops, Some loads, Some stores, Some checksum ->
       let ptr_promoted =
-        match Json.member "stats" resp with
-        | Some st -> (
-          match Json.member "counters" st with
-          | Some c -> Option.value (int_in c "ptr_promoted") ~default:0
-          | None -> 0)
-        | None -> 0
+        match at [ "stats"; "counters"; "ptr_promoted" ] with
+        | Some (Json.Int n) -> n
+        | _ -> 0
       in
-      match Json.member "result" resp with
-      | Some res -> (
-        match
-          ( int_in res "ops", int_in res "loads", int_in res "stores",
-            int_in res "checksum" )
-        with
-        | Some ops, Some loads, Some stores, Some checksum ->
-          Cok { ops; loads; stores; checksum; ptr_promoted }
-        | _ ->
-          Cquarantined
-            (Printf.sprintf "%s under %s: malformed daemon result" pname
-               cname))
-      | None ->
-        Cquarantined
-          (Printf.sprintf "%s under %s: daemon response has no result" pname
-             cname))
-    | status ->
-      let msg =
-        match Json.member "message" resp with
-        | Some (Json.Str m) -> m
-        | _ -> "no message"
-      in
-      Cquarantined
-        (Printf.sprintf "%s under %s: daemon %s: %s" pname cname status msg)
-
-(** Assemble and write the counts document from per-cell responses —
-    identical structure and bytes whether the cells came from a local
-    grid run, one daemon, or a (possibly crashing) fleet.  Supervision
-    lives backend-side (daemon health / BENCH_fleet.json); the
-    client-side resilience counters here are structurally present and
-    zero so the document's shape matches a local run. *)
-let write_remote_counts_doc flat responses =
-  let module R = Rp_support.Resilience in
-  let cells = Array.of_list (List.map2 cell_of_response flat responses) in
-  let nconfigs = List.length Config.paper_grid in
-  let rows =
-    List.mapi
-      (fun i (p : Rp_suite.Programs.program) ->
-        ( p.Rp_suite.Programs.name,
-          List.init nconfigs (fun j ->
-              let (_, cname, _) = List.nth flat ((i * nconfigs) + j) in
-              (cname, cells.((i * nconfigs) + j))) ))
-      Rp_suite.Programs.all
-  in
-  (* cells whose shard answered from the ladder's interpreter rung
-     (exec.degraded in the response); 0 for interp campaigns (no exec
-     object) and for native campaigns where every shard answered
-     natively, so healthy documents cmp clean across modes *)
-  let degraded_native =
-    List.fold_left
-      (fun n resp ->
-        match Json.member "exec" resp with
-        | Some e -> (
-          match Json.member "degraded" e with
-          | Some (Json.Bool true) -> n + 1
-          | _ -> n)
-        | None -> n)
-      0 responses
-  in
-  let counts_doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "rpcc-bench-counts/6");
-        ( "programs",
-          Json.Obj
-            (List.map
-               (fun (pname, per_config) ->
-                 ( pname,
-                   Json.Obj
-                     (List.map
-                        (fun (cname, c) -> (cname, cell_json c))
-                        per_config) ))
-               rows) );
-        ("resilience", R.to_json (R.create ()));
-        ( "exec",
-          Json.Obj [ ("degraded_native", Json.Int degraded_native) ] );
-      ]
-  in
-  Json.to_file "BENCH_counts.json" counts_doc;
-  List.length rows
-
-(** One [rpcc serve] daemon: the daemon owns supervision and timing
-    state, so only the counts document is written; the grid's
-    wall-clock is printed (warm runs show the cache). *)
-let json_export_via_daemon socket =
-  let grid_t0 = Rp_support.Clock.now () in
-  let flat = remote_flat () in
-  let requests = List.mapi remote_req flat in
-  let responses =
-    try
-      List.concat_map
-        (fun batch -> Rp_serve.Client.call ~timeout:300. ~socket batch)
-        (chunks 32 requests)
-    with
-    | Unix.Unix_error (e, _, _) ->
-      Fmt.epr "cannot reach daemon at %s: %s@." socket (Unix.error_message e);
-      exit 2
-    | Rp_serve.Client.Timeout m ->
-      Fmt.epr "daemon timeout: %s@." m;
-      exit 3
-  in
-  if List.length responses <> List.length flat then begin
-    Fmt.epr "daemon answered %d of %d requests@." (List.length responses)
-      (List.length flat);
-    exit 2
-  end;
-  let nrows = write_remote_counts_doc flat responses in
-  Fmt.pr "wrote BENCH_counts.json (%d programs x %d configs) via %s@." nrows
-    (List.length Config.paper_grid)
-    socket;
-  Fmt.pr "grid wall: %.1f ms@." (1000. *. Rp_support.Clock.elapsed grid_t0)
+      {
+        cell = Cok { ops; loads; stores; checksum; ptr_promoted };
+        timing =
+          List.filter_map
+            (fun (k, path) -> Option.map (fun v -> (k, v)) (at path))
+            [ ("exec_mode", [ "exec"; "mode" ]); ("compile", [ "stats" ]) ];
+        fell_to_interp = at [ "exec"; "degraded" ] = Some (Json.Bool true);
+        fatal = None;
+      }
+    | _ -> fail "malformed daemon result")
+  | status ->
+    fail
+      (Printf.sprintf "daemon %s: %s" status
+         (match at [ "message" ] with Some (Json.Str m) -> m | _ -> "no message"))
 
 (** Chaos-drill step two: flip one payload byte of a cached native
     binary in the fleet's shared store, leaving the stale CRC in place.
@@ -1190,29 +797,21 @@ let json_export_via_daemon socket =
     yet (interp drills, cold stores). *)
 let corrupt_native_bin cas_root =
   let objects = Filename.concat cas_root "objects" in
-  let shards = try Sys.readdir objects with Sys_error _ -> [||] in
-  let victim =
-    Array.fold_left
-      (fun acc shard ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          let dir = Filename.concat objects shard in
-          let entries = try Sys.readdir dir with Sys_error _ -> [||] in
-          Array.fold_left
-            (fun acc f ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                if Filename.check_suffix f ".native-bin" then
-                  Some (Filename.concat dir f)
-                else None)
-            None entries)
-      None shards
-  in
-  match victim with
-  | None -> ()
-  | Some path -> (
+  let ls d = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
+  match
+    List.concat_map
+      (fun shard ->
+        let dir = Filename.concat objects shard in
+        List.filter_map
+          (fun f ->
+            if Filename.check_suffix f ".native-bin" then
+              Some (Filename.concat dir f)
+            else None)
+          (ls dir))
+      (ls objects)
+  with
+  | [] -> ()
+  | path :: _ -> (
     try
       let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
       Fun.protect
@@ -1230,99 +829,140 @@ let corrupt_native_bin cas_root =
           end)
     with Unix.Unix_error _ -> ())
 
-(** A supervised shard fleet: spawn it, route the grid through the
-    rendezvous router, and write [BENCH_fleet.json] (supervisor + router
-    telemetry and the real failover/respawn counters) alongside the
-    byte-identical counts document.  [plant] SIGKILLs the second
-    batch's first-choice shard right before that batch is sent — the
-    deterministic chaos drill: the router must fail the batch over and
-    the supervisor must respawn the victim, with no effect on the
-    counts document. *)
-let json_export_via_fleet shards ~plant ~state_dir =
-  let module R = Rp_support.Resilience in
-  let module Fleet = Rp_serve.Fleet in
-  let module Router = Rp_serve.Fleet_client in
-  let flat = remote_flat () in
-  let requests = List.mapi remote_req flat in
-  let resil = R.create () in
-  let boot_t0 = Rp_support.Clock.now () in
-  let fleet =
-    Fleet.start
-      { Fleet.default_config with Fleet.shards; state_dir; jobs = !jobs }
+(** The remote grid: every cell goes out as an [rpcc-serve/2] [run]
+    request through the rendezvous router — an existing daemon is a
+    one-socket router, a fleet one socket per shard — in batches of 32,
+    inside the daemon's default queue bound of 64.  Responses come back
+    in request order and are deterministic given the shared store.
+    Under a fleet, [--plant-crash] SIGKILLs the second batch's
+    first-choice shard right before it is sent, after corrupting a cached
+    native binary: the router must fail the batch over and the
+    supervisor must respawn the victim, with no effect on the counts. *)
+let remote_runs ?fleet router items =
+  let plant =
+    match fleet with
+    | Some f when !plant_crash ->
+      Some
+        (fun s ->
+          corrupt_native_bin (Fleet.cas_dir f);
+          Fleet.kill_shard f s)
+    | _ -> None
   in
-  Fmt.pr "fleet up: %.1f ms@." (1000. *. Rp_support.Clock.elapsed boot_t0);
-  (* the grid clock starts once the fleet accepts, mirroring the
-     via-daemon path (which times against an already-running daemon) *)
-  let grid_t0 = Rp_support.Clock.now () in
-  Fun.protect
-    ~finally:(fun () -> Fleet.stop fleet)
-    (fun () ->
-      let router =
-        Router.create ~timeout:300. ~resilience:resil
-          ~sockets:(Fleet.sockets fleet) ()
-      in
-      let responses =
-        try
-          List.concat
-            (List.mapi
-               (fun bi batch ->
-                 let plant_hook =
-                   if plant && bi = 1 then
-                     Some
-                       (fun s ->
-                         (* two faults at once: a cached artifact goes
-                            bad AND the batch's first-choice shard dies.
-                            The survivors must quarantine + recompile
-                            and the router must fail over, with zero
-                            effect on the counts document *)
-                         corrupt_native_bin (Fleet.cas_dir fleet);
-                         Fleet.kill_shard fleet s)
-                   else None
-                 in
-                 Router.route ?plant:plant_hook router batch)
-               (* chunking exists to give the planted crash a
-                  mid-campaign batch boundary; without a drill the grid
-                  goes out as one round so each shard sees one batch *)
-               (if plant then chunks 32 requests else [ requests ]))
-        with Router.All_shards_dead ->
-          Fmt.epr "fleet: all shards dead@.";
-          exit 3
-      in
-      if List.length responses <> List.length flat then begin
-        Fmt.epr "fleet answered %d of %d requests@." (List.length responses)
-          (List.length flat);
-        exit 2
-      end;
-      let nrows = write_remote_counts_doc flat responses in
+  chunks 32 (List.mapi remote_req items)
+  |> List.mapi (fun bi batch ->
+         Router.route ?plant:(if bi = 1 then plant else None) router batch)
+  |> List.concat
+  |> List.map2 remote_run items
+  |> Array.of_list
+
+type backend = Local | Remote of string list
+
+(** The [--json] experiment on any backend: run the paper grid (program ×
+    {!Config.paper_grid}) and write [BENCH_counts.json] and
+    [BENCH_timings.json].
+
+    The counts document ([rpcc-bench-counts/7]) is the paper's data only
+    — dynamic counts, checksum, and [ptr_promoted] per cell, or the
+    reason a cell was degraded — so it is byte-identical across [-j],
+    backends, execution modes, chaos drills, and resumes.  Everything
+    about the run itself goes to the timings document
+    ([rpcc-bench-timings/5]): per-cell wall/run/compile time and native
+    rung, host provenance, the grid's wall-clock, the [resilience]
+    counters with per-program breaker snapshots, [exec.degraded_native]
+    (cells a native campaign answered from the interpreter rung), and
+    under a fleet its supervisor and router telemetry. *)
+let grid ?fleet backend =
+  let resil = R.create () in
+  let breaker = Breaker.create ~threshold:!breaker_threshold () in
+  let items =
+    List.concat_map
+      (fun (p : Rp_suite.Programs.program) ->
+        List.map (fun (cname, cfg) -> (p, cname, cfg)) Config.paper_grid)
+      Rp_suite.Programs.all
+  in
+  let t0 = Rp_support.Clock.now () in
+  let (runs, router) =
+    match backend with
+    | Local -> (local_runs resil breaker items, None)
+    | Remote sockets ->
+      let router = Router.create ~timeout:300. ~resilience:resil ~sockets () in
+      (remote_runs ?fleet router items, Some router)
+  in
+  let grid_wall = Rp_support.Clock.elapsed t0 in
+  let fleet_json =
+    match (fleet, router) with
+    | Some f, Some router ->
       (* let the supervisor finish respawning any planted kill before
          the telemetry is frozen *)
       let deadline = Rp_support.Clock.now () +. 15. in
       while
-        Fleet.respawns fleet < Fleet.planted fleet
-        && Rp_support.Clock.now () < deadline
+        Fleet.respawns f < Fleet.planted f && Rp_support.Clock.now () < deadline
       do
         Unix.sleepf 0.1
       done;
-      R.merge ~into:resil (Fleet.resilience fleet);
-      let fleet_doc =
-        Json.Obj
-          [
-            ("schema", Json.Str "rpcc-fleet/1");
-            ("shards", Json.Int shards);
-            ("supervisor", Fleet.telemetry_json fleet);
-            ("router", Router.telemetry_json router);
-            ("resilience", R.to_json resil);
-          ]
-      in
-      Json.to_file "BENCH_fleet.json" fleet_doc;
-      Fmt.pr
-        "wrote BENCH_counts.json (%d programs x %d configs) via fleet of %d@."
-        nrows
-        (List.length Config.paper_grid)
-        shards;
-      Fmt.pr "wrote BENCH_fleet.json (failovers %d, respawns %d)@."
-        (Router.failovers router) (Fleet.respawns fleet);
-      Fmt.pr "grid wall: %.1f ms@." (1000. *. Rp_support.Clock.elapsed grid_t0))
+      R.merge ~into:resil (Fleet.resilience f);
+      [
+        ( "fleet",
+          Json.Obj
+            [
+              ("shards", Json.Int (Router.shards router));
+              ("supervisor", Fleet.telemetry_json f);
+              ("router", Router.telemetry_json router);
+            ] );
+      ]
+    | _ -> []
+  in
+  let nconfigs = List.length Config.paper_grid in
+  let table f =
+    Json.Obj
+      (List.mapi
+         (fun i (p : Rp_suite.Programs.program) ->
+           ( p.Rp_suite.Programs.name,
+             Json.Obj
+               (List.mapi
+                  (fun j (cname, _) -> (cname, f runs.((i * nconfigs) + j)))
+                  Config.paper_grid) ))
+         Rp_suite.Programs.all)
+  in
+  let compile_ms r =
+    match
+      Option.bind (List.assoc_opt "compile" r.timing) (Json.member "total_ms")
+    with
+    | Some (Json.Float ms) -> ms
+    | _ -> 0.
+  in
+  let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 runs in
+  Json.to_file "BENCH_counts.json"
+    (Json.Obj
+       [
+         ("schema", Json.Str "rpcc-bench-counts/7");
+         ("programs", table (fun r -> cell_json r.cell));
+       ]);
+  Json.to_file "BENCH_timings.json"
+    (Json.Obj
+       ([
+          ("schema", Json.Str "rpcc-bench-timings/5");
+          ("jobs", Json.Int !jobs);
+          ("mode", Json.Str (if !native then "native" else "interp"));
+          ("host", host_json ());
+          ("programs", table (fun r -> Json.Obj r.timing));
+          ( "total_compile_ms",
+            Json.Float
+              (Array.fold_left (fun acc r -> acc +. compile_ms r) 0. runs) );
+          ("grid_wall_ms", Json.Float (1000. *. grid_wall));
+          ( "resilience",
+            R.to_json ~breakers:(Breaker.snapshots_json breaker) resil );
+          ( "exec",
+            Json.Obj
+              [ ("degraded_native", Json.Int (count (fun r -> r.fell_to_interp))) ]
+          );
+        ]
+       @ fleet_json));
+  if R.any resil then Fmt.epr "resilience: %a@." R.pp resil;
+  Fmt.pr "wrote BENCH_counts.json (%d programs x %d configs)@."
+    (List.length Rp_suite.Programs.all)
+    nconfigs;
+  Fmt.pr "wrote BENCH_timings.json (grid wall %.1f ms)@." (1000. *. grid_wall)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing benches (one Test.make per table)                   *)
@@ -1393,181 +1033,178 @@ let timings () =
 
 (* ------------------------------------------------------------------ *)
 
-(** Parse [-j N] / [--jobs N] / [--jobs=N]; 0 means the machine's
-    recommended domain count. *)
-let rec parse_jobs = function
-  | [] -> 1
-  | ("-j" | "--jobs") :: v :: _ -> int_of_string v
-  | a :: rest ->
-    (match String.index_opt a '=' with
-    | Some i when String.sub a 0 i = "--jobs" ->
-      int_of_string (String.sub a (i + 1) (String.length a - i - 1))
-    | _ -> parse_jobs rest)
-
-(** Parse [--name V] / [--name=V]. *)
-let opt_value name args =
-  let prefix = name ^ "=" in
-  let rec go = function
-    | [] -> None
-    | a :: v :: _ when a = name -> Some v
-    | a :: rest ->
-      if String.starts_with ~prefix a then
-        Some
-          (String.sub a (String.length prefix)
-             (String.length a - String.length prefix))
-      else go rest
+(** The tables, [--timings], or the [--json] grid on the backend the
+    flags select.  Incompatible flag combinations are command-line
+    errors (exit 2 with a usage line). *)
+let main want_timings want_tables want_json verify_passes jobs_n timeout
+    retries threshold journal resume hang via_daemon via_fleet want_native
+    plant_cc_failure cc_flags want_plant_crash fleet_state =
+  let remote = via_daemon <> None || via_fleet <> None in
+  let conflicts =
+    [
+      (plant_cc_failure && not want_native, "--plant-cc-failure requires --native");
+      (want_native && not want_json, "--native requires --json");
+      ( plant_cc_failure && remote,
+        "--plant-cc-failure plants a local compiler and cannot be combined \
+         with --via-daemon/--via-fleet" );
+      ( via_daemon <> None && via_fleet <> None,
+        "--via-daemon and --via-fleet are mutually exclusive" );
+      (* supervision, journaling, and verification live backend-side *)
+      ( remote
+        && (journal <> None || resume <> None || hang <> None || verify_passes),
+        "--via-daemon/--via-fleet cannot be combined with \
+         --journal/--resume/--plant-hang/--verify-passes" );
+      (want_plant_crash && via_fleet = None, "--plant-crash requires --via-fleet");
+      (hang <> None && timeout = None, "--plant-hang requires --job-timeout");
+    ]
   in
-  go args
-
-let () =
-  let args = Array.to_list Sys.argv in
-  let rest = List.tl args in
-  let want_timings = List.mem "--timings" args in
-  let want_json = List.mem "--json" args in
-  verify := List.mem "--verify-passes" args;
-  (* uniform with rpcc serve/fuzz/gen-fuzz: 0 = auto, negative = usage
-     error (exit 2), never a silent clamp *)
-  jobs := Rp_support.Cli.jobs ~flag:"-j/--jobs" (parse_jobs rest);
-  job_timeout := Option.map float_of_string (opt_value "--job-timeout" rest);
-  Option.iter
-    (fun v -> job_retries := max 0 (int_of_string v))
-    (opt_value "--retries" rest);
-  Option.iter
-    (fun v -> breaker_threshold := max 1 (int_of_string v))
-    (opt_value "--breaker-threshold" rest);
-  journal_path := opt_value "--journal" rest;
-  resume_path := opt_value "--resume" rest;
-  plant_hang := opt_value "--plant-hang" rest;
-  let via_daemon = opt_value "--via-daemon" rest in
-  let via_fleet = Option.map int_of_string (opt_value "--via-fleet" rest) in
-  let want_native = List.mem "--native" args in
-  let plant_cc_failure = List.mem "--plant-cc-failure" args in
-  if plant_cc_failure && not want_native then begin
-    Fmt.epr "--plant-cc-failure requires --native@.";
-    exit 2
-  end;
-  if want_native then begin
-    if not want_json then begin
-      Fmt.epr "--native requires --json@.";
-      exit 2
-    end;
-    let flags =
-      match opt_value "--cc-flags" rest with
-      | Some s ->
-        List.filter (fun f -> f <> "") (String.split_on_char ' ' s)
-      | None -> [ "-O1" ]
-    in
-    if via_daemon <> None || via_fleet <> None then
-      (* rpcc-serve/2 carries the mode per job: each shard compiles and
-         executes through its own degradation ladder, so nothing is
-         probed (or planted) in this process *)
-      if plant_cc_failure then begin
-        Fmt.epr
-          "--plant-cc-failure plants a local compiler and cannot be \
-           combined with --via-daemon/--via-fleet@.";
-        exit 2
-      end
-      else remote_native := true
-    else begin
-      (if plant_cc_failure then
-         (* a compiler that cannot exist: every cell's native attempt
-            (and its recompile retry) fails, forcing the interpreter
-            rung; the fake identity keeps its binary keys clear of any
-            real compiler's warm cache, so the failure cannot be masked
-            by a cached binary *)
-         native_cc :=
+  match List.find_opt fst conflicts with
+  | Some (_, msg) -> `Error (true, msg)
+  | None ->
+    verify := verify_passes;
+    jobs := jobs_n;
+    job_timeout := timeout;
+    job_retries := retries;
+    breaker_threshold := threshold;
+    journal_path := journal;
+    resume_path := resume;
+    plant_hang := hang;
+    native := want_native;
+    plant_crash := want_plant_crash;
+    if want_native && not remote then begin
+      let flags = List.filter (( <> ) "") (String.split_on_char ' ' cc_flags) in
+      (native_cc :=
+         if plant_cc_failure then
+           (* a compiler that cannot exist: every cell's native attempt
+              (and its recompile retry) fails, forcing the interpreter
+              rung; the fake identity keeps its binary keys clear of any
+              real compiler's warm cache, so the failure cannot be masked
+              by a cached binary *)
            Some
              {
                Rp_backend.Native.path = "/nonexistent/rpcc-planted-cc";
                flags;
                identity = "planted-broken-cc";
              }
-       else
-         match
-           Rp_backend.Native.find_cc ~cache:(Lazy.force native_cas) ~flags ()
-         with
-         | Some cc -> native_cc := Some cc
-         | None ->
-           Fmt.epr
-             "--native: no working C compiler found (probed `cc --version`)@.";
-           exit 2);
+         else Rp_backend.Native.find_cc ~cache:(Lazy.force native_cas) ~flags ());
+      if !native_cc = None then begin
+        Fmt.epr "--native: no working C compiler found (probed `cc --version`)@.";
+        exit 2
+      end;
       ignore (Lazy.force native_cas : Rp_support.Cas.t)
-    end
-  end;
-  let plant_crash = List.mem "--plant-crash" args in
-  let fleet_state =
-    Option.value (opt_value "--fleet-state" rest) ~default:".rpcc-fleet"
+    end;
+    (if want_json then
+       try
+         (* a shard killed mid-exchange must surface as EPIPE, which the
+            router fails over, not as a fatal SIGPIPE *)
+         if remote then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+         match (via_daemon, via_fleet) with
+         | Some socket, _ ->
+           if not (Rp_serve.Client.wait_ready ~attempts:1 ~delay:0. ~socket ())
+           then begin
+             Fmt.epr "cannot reach daemon at %s@." socket;
+             exit 2
+           end;
+           grid (Remote [ socket ])
+         | None, Some shards ->
+           let t0 = Rp_support.Clock.now () in
+           let fleet =
+             Fleet.start
+               { Fleet.default_config with
+                 Fleet.shards; state_dir = fleet_state; jobs = !jobs }
+           in
+           Fmt.pr "fleet up: %.1f ms@." (1000. *. Rp_support.Clock.elapsed t0);
+           Fun.protect
+             ~finally:(fun () -> Fleet.stop fleet)
+             (fun () -> grid ~fleet (Remote (Fleet.sockets fleet)))
+         | None, None ->
+           (try
+              Sys.set_signal Sys.sigint
+                (Sys.Signal_handle (fun _ -> Atomic.set interrupted true))
+            with Invalid_argument _ | Sys_error _ -> ());
+           grid Local
+       with Router.All_shards_dead ->
+         Fmt.epr "all shards dead@.";
+         exit 3
+     else begin
+       let only_timings = want_timings && not want_tables in
+       if not only_timings then begin
+         Fmt.pr
+           "Register Promotion in C Programs (Cooper & Lu, PLDI 1997) — \
+            reproduction@.";
+         Fmt.pr
+           "Memory-operation hierarchy (Table 1): iLoad, cLoad, sLoad/sStore, \
+            Load/Store@.";
+         (* each table section survives a quarantined program: the reason is
+            printed in place and the remaining sections still run *)
+         let section f =
+           try f () with Quarantined m -> Fmt.pr "  quarantined: %s@." m
+         in
+         (* compute the full grid in parallel before any table renders; the
+            sections below then read the memo cache in their fixed order *)
+         if !jobs > 1 then prewarm (table_cells ());
+         figure4 ();
+         section metric_tables;
+         section mlink_function;
+         section section33;
+         List.iter
+           (fun t -> section (fun () -> print_counts_table t))
+           (counts_tables ());
+         Fmt.pr "@.All configurations produced identical checksums per program.@."
+       end;
+       if want_timings then timings ()
+     end);
+    `Ok ()
+
+let () =
+  let open Cmdliner in
+  let module Cli = Rp_support.Cli in
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let opt c default name docv doc =
+    Arg.(value & opt c default & info [ name ] ~docv ~doc)
   in
-  let remote_conflicts () =
-    (* supervision, journaling, and verification all live backend-side *)
-    if
-      !journal_path <> None || !resume_path <> None || !plant_hang <> None
-      || !verify
-    then begin
-      Fmt.epr
-        "--via-daemon/--via-fleet cannot be combined with \
-         --journal/--resume/--plant-hang/--verify-passes@.";
-      exit 2
-    end
+  let term =
+    Term.(
+      ret
+        (const main
+        $ flag "timings" "Run the Bechamel wall-clock benches, one per table."
+        $ flag "tables" "With $(b,--timings), print the count tables too."
+        $ flag "json"
+            "Run the paper grid and write BENCH_counts.json (the counts) and \
+             BENCH_timings.json (everything about the run) instead of the \
+             tables."
+        $ Cli.verify_passes_t $ Cli.jobs_t $ Cli.job_timeout_t $ Cli.retries_t
+        $ opt Cli.positive 3 "breaker-threshold" "N"
+            "Consecutive cell failures that open a program's circuit \
+             breaker, degrading its remaining cells."
+        $ Cli.journal_t $ Cli.resume_t
+        $ opt Arg.(some string) None "plant-hang" "PROGRAM:CONFIG"
+            "Test fixture: the named cell never finishes on its own \
+             (requires $(b,--job-timeout))."
+        $ opt Arg.(some string) None "via-daemon" "SOCKET"
+            "Run the grid through the rpcc serve daemon listening on \
+             $(docv)."
+        $ opt Arg.(some Cli.positive) None "via-fleet" "N"
+            "Run the grid through a supervised fleet of $(docv) rpcc serve \
+             shards started for the run."
+        $ flag "native"
+            "Execute every cell through the compiled-C backend's degradation \
+             ladder (native, recompile once, interpreter)."
+        $ flag "plant-cc-failure"
+            "Fault drill for $(b,--native): plant a compiler that cannot \
+             run, so every cell falls to the interpreter rung."
+        $ opt Arg.string "-O1" "cc-flags" "FLAGS"
+            "C compiler flags for $(b,--native), space-separated."
+        $ flag "plant-crash"
+            "Chaos drill for $(b,--via-fleet): SIGKILL a shard and corrupt a \
+             cached native binary mid-campaign."
+        $ opt Arg.string ".rpcc-fleet" "fleet-state" "DIR"
+            "State directory of the $(b,--via-fleet) fleet."))
   in
-  if want_json then begin
-    match (via_daemon, via_fleet) with
-    | Some _, Some _ ->
-      Fmt.epr "--via-daemon and --via-fleet are mutually exclusive@.";
-      exit 2
-    | Some socket, None ->
-      remote_conflicts ();
-      if plant_crash then begin
-        Fmt.epr "--plant-crash requires --via-fleet@.";
-        exit 2
-      end;
-      json_export_via_daemon socket
-    | None, Some shards ->
-      remote_conflicts ();
-      if shards < 1 then begin
-        Fmt.epr "--via-fleet needs at least one shard@.";
-        exit 2
-      end;
-      json_export_via_fleet shards ~plant:plant_crash ~state_dir:fleet_state
-    | None, None ->
-      if plant_crash then begin
-        Fmt.epr "--plant-crash requires --via-fleet@.";
-        exit 2
-      end;
-      if !plant_hang <> None && !job_timeout = None then begin
-        Fmt.epr "--plant-hang requires --job-timeout@.";
-        exit 2
-      end;
-      (try
-         Sys.set_signal Sys.sigint
-           (Sys.Signal_handle (fun _ -> Atomic.set interrupted true))
-       with Invalid_argument _ | Sys_error _ -> ());
-      json_export ()
-  end
-  else begin
-  let only_timings = want_timings && not (List.mem "--tables" args) in
-  if not only_timings then begin
-    Fmt.pr
-      "Register Promotion in C Programs (Cooper & Lu, PLDI 1997) — \
-       reproduction@.";
-    Fmt.pr
-      "Memory-operation hierarchy (Table 1): iLoad, cLoad, sLoad/sStore, \
-       Load/Store@.";
-    (* each table section survives a quarantined program: the reason is
-       printed in place and the remaining sections still run *)
-    let section f =
-      try f () with Quarantined m -> Fmt.pr "  quarantined: %s@." m
-    in
-    (* compute the full grid in parallel before any table renders; the
-       sections below then read the memo cache in their fixed order *)
-    if !jobs > 1 then prewarm (table_cells ());
-    figure4 ();
-    section metric_tables;
-    section mlink_function;
-    section section33;
-    section pressure;
-    section ablations;
-    Fmt.pr "@.All configurations produced identical checksums per program.@."
-  end;
-  if want_timings then timings ()
-  end
+  exit
+    (Cli.eval
+       (Cmd.v
+          (Cmd.info "bench"
+             ~doc:
+               "Regenerate the tables and figures of the paper's evaluation.")
+          term))

@@ -20,6 +20,7 @@
 
 open Cmdliner
 open Rp_driver
+module Cli = Rp_support.Cli
 
 let read_file path =
   let ic = open_in_bin path in
@@ -97,16 +98,6 @@ let k_t =
     value & opt int 24
     & info [ "k"; "registers" ] ~docv:"N" ~doc:"Physical register count.")
 
-let verify_passes_t =
-  Arg.(
-    value & flag
-    & info [ "verify-passes" ]
-        ~doc:
-          "Translation validation: check the IL after every optimization \
-           pass and roll back (recording the pass as degraded in the stats) \
-           any pass that produces ill-formed IL, instead of failing the \
-           compile.")
-
 let oracle_t =
   Arg.(
     value & flag
@@ -140,7 +131,7 @@ let config_t =
   in
   Term.(
     const mk $ analysis_t $ promote_t $ ptr_promote_t $ always_store_t
-    $ throttle_t $ dse_t $ opt_t $ regalloc_t $ k_t $ verify_passes_t
+    $ throttle_t $ dse_t $ opt_t $ regalloc_t $ k_t $ Cli.verify_passes_t
     $ oracle_t $ analysis_budget_t)
 
 (* Execution resource limits, shared by run and run-il. *)
@@ -163,23 +154,24 @@ let max_depth_t =
            3).  Default: 100k.")
 
 let exits =
-  Cmd.Exit.info 0 ~doc:"on success."
-  :: Cmd.Exit.info 1
-       ~doc:
-         "on a finding: a runtime trap in the interpreted program, a \
-          differential divergence, or a fault-injection escape."
-  :: Cmd.Exit.info 2
-       ~doc:
-         "on a usage or internal error: front-end rejection, invalid IL, \
-          or a compiler crash."
-  :: Cmd.Exit.info 3
-       ~doc:
-         "on a resource limit: execution fuel, call stack, or wall-clock \
-          deadline exhausted (see $(b,--fuel), $(b,--max-depth), \
-          $(b,--timeout))."
-  :: Cmd.Exit.info 130
-       ~doc:"when interrupted (SIGINT), after flushing any campaign journal."
-  :: Cmd.Exit.defaults
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 1
+      ~doc:
+        "on a finding: a runtime trap in the interpreted program, a \
+         differential divergence, or a fault-injection escape.";
+    Cmd.Exit.info 2
+      ~doc:
+        "on a usage or internal error: command-line misuse, front-end \
+         rejection, invalid IL, or a compiler crash.";
+    Cmd.Exit.info 3
+      ~doc:
+        "on a resource limit: execution fuel, call stack, or wall-clock \
+         deadline exhausted (see $(b,--fuel), $(b,--max-depth), \
+         $(b,--timeout)).";
+    Cmd.Exit.info 130
+      ~doc:"when interrupted (SIGINT), after flushing any campaign journal.";
+  ]
 
 let handle_errors f =
   try f () with
@@ -502,64 +494,6 @@ let seed_t =
 let trials_t ~doc =
   Arg.(value & opt int 50 & info [ "trials"; "seeds" ] ~docv:"N" ~doc)
 
-(* Both fuzz campaigns parallelize over trials with deterministic
-   collection, so -j changes wall-clock time and nothing else. *)
-let jobs_t =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Run trials on $(docv) worker domains.  Reports, saved \
-           reproducers, and exit codes are identical at every $(docv); \
-           use 0 for the machine's recommended domain count.")
-
-(* Uniform across serve, bench, fuzz, and gen-fuzz: 0 = auto, negative =
-   usage error (exit 2), never a silent clamp. *)
-let resolve_jobs j = Rp_support.Cli.jobs ~flag:"--jobs" j
-
-(* Supervision flags shared by the campaign commands (fuzz, gen-fuzz). *)
-let job_timeout_t =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "job-timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Per-trial wall-clock deadline.  A trial over the deadline is \
-           aborted (cooperatively when it is interpreting; by abandoning \
-           and replacing its worker domain when it is wedged), retried \
-           per $(b,--retries), then quarantined.  Quarantined trials are \
-           reported on stderr and counted as inconclusive.")
-
-let retries_campaign_t =
-  Arg.(
-    value & opt int 1
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Extra attempts for a trial that times out or crashes before it \
-           is quarantined (default 1).")
-
-let journal_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "journal" ] ~docv:"FILE"
-        ~doc:
-          "Append one fsynced line-JSON record per finished trial to \
-           $(docv), so an interrupted or killed campaign can be resumed \
-           with $(b,--resume) without losing completed work.")
-
-let resume_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "resume" ] ~docv:"FILE"
-        ~doc:
-          "Replay the finished trials recorded in a previous campaign's \
-           journal instead of re-running them, then run only the \
-           remainder.  The final report is byte-identical to an \
-           uninterrupted run.  Combine with $(b,--journal) $(docv) to \
-           keep extending the same journal.")
-
 (* SIGINT turns into cooperative cancellation: workers stop taking
    trials, in-flight journal records are already fsynced, and the
    command exits 130 with a resume hint. *)
@@ -584,7 +518,7 @@ let fuzz_cmd =
     let resil = Rp_support.Resilience.create () in
     let quarantined = ref [] in
     let report =
-      Rp_fuzz.Faultgen.run ~seed ~seeds ~jobs:(resolve_jobs jobs)
+      Rp_fuzz.Faultgen.run ~seed ~seeds ~jobs
         ?timeout:job_timeout ~retries ?journal ?resume ~resilience:resil
         ~cancel:(fun () -> Atomic.get interrupted)
         ~on_failure:(fun i f -> quarantined := (i, f) :: !quarantined)
@@ -618,7 +552,8 @@ let fuzz_cmd =
     Term.(
       const fuzz $ seed_t
       $ trials_t ~doc:"Number of fault-injection trials."
-      $ jobs_t $ job_timeout_t $ retries_campaign_t $ journal_t $ resume_t)
+      $ Cli.jobs_t $ Cli.job_timeout_t $ Cli.retries_t $ Cli.journal_t
+      $ Cli.resume_t)
 
 (* ------------------------------------------------------------------ *)
 (* Generative differential testing                                     *)
@@ -738,140 +673,87 @@ let gen_fuzz_cmd =
     in
     let inject = Option.map (fun c -> (c, seed)) inject in
     let resil = Rp_support.Resilience.create () in
-    (* Resume: replay finished trials from a prior (interrupted)
-       campaign's journal.  A record stores only (trial, outcome) —
-       sources are regenerated from (seed, trial) on demand, so the
-       journal stays small and replay is exact. *)
-    let replayed : (int, D.outcome) Hashtbl.t = Hashtbl.create 64 in
-    Option.iter
-      (fun path ->
-        List.iter
-          (fun j ->
-            match j with
-            | Json.Obj fields -> (
-              match
-                ( List.assoc_opt "trial" fields,
-                  List.assoc_opt "outcome" fields )
-              with
-              | Some (Json.Int i), Some oj when i >= 0 && i < trials -> (
-                match D.outcome_of_json oj with
-                | Some o ->
-                  if not (Hashtbl.mem replayed i) then
-                    Rp_support.Resilience.tick resil
-                      Rp_support.Resilience.Resumed;
-                  Hashtbl.replace replayed i o
-                | None -> ())
-              | _ -> ())
-            | _ -> ())
-          (Rp_support.Journal.load path))
-      resume;
-    let fresh =
-      Array.of_list
-        (List.filter
-           (fun i -> not (Hashtbl.mem replayed i))
-           (List.init trials Fun.id))
-    in
     (* Trials are independent: each generates its program from (seed,
-       trial) and checks it against the oracle.  Workers only compute
-       (and journal, which has its own lock); all printing and
-       reproducer-saving happens below, in trial order, so stdout is
-       byte-identical at every --jobs level and across resumes. *)
-    let jwriter = Option.map Rp_support.Journal.create journal in
-    let on_result k (o : _ Rp_support.Pool.supervised) =
-      match (o, jwriter) with
-      | Ok outcome, Some w ->
-        Rp_support.Journal.record w
-          (Json.Obj
-             [
-               ("trial", Json.Int fresh.(k));
-               ("outcome", D.outcome_json outcome);
-             ])
-      | _ -> ()
-    in
+       trial) and checks it against the oracle, and a journal record
+       stores only (trial, outcome) — sources are regenerated on demand,
+       so the journal stays small and replay is exact.  Workers only
+       compute (and journal); all printing and reproducer-saving happens
+       below, in trial order, so stdout is byte-identical at every --jobs
+       level and across resumes. *)
     let outcomes =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Rp_support.Journal.close jwriter)
-        (fun () ->
-          Rp_support.Pool.run_supervised ~jobs:(resolve_jobs jobs)
-            ?timeout:job_timeout ~retries
-            ~cancel:(fun () -> Atomic.get interrupted)
-            ~resilience:resil ~on_result
-            (fun ~should_stop trial ->
-              let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial in
-              D.check ~mode ~fuel ~should_stop ?inject ?native:native_cc src)
-            fresh)
+      Rp_support.Pool.run_journaled ~jobs ?timeout:job_timeout ~retries
+        ~cancel:(fun () -> Atomic.get interrupted)
+        ~resilience:resil ?journal ?resume ~key:Fun.id
+        ~encode:(fun trial o ->
+          Some
+            (Json.Obj
+               [ ("trial", Json.Int trial); ("outcome", D.outcome_json o) ]))
+        ~decode:(function
+          | Json.Obj [ ("trial", Json.Int i); ("outcome", oj) ] ->
+            Option.map (fun o -> (i, o)) (D.outcome_of_json oj)
+          | _ -> None)
+        (fun ~should_stop trial ->
+          let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial in
+          D.check ~mode ~fuel ~should_stop ?inject ?native:native_cc src)
+        (Array.init trials Fun.id)
     in
     if Atomic.get interrupted then begin
       let finished =
         Array.fold_left
-          (fun acc o -> match o with Ok _ -> acc + 1 | Error _ -> acc)
-          (Hashtbl.length replayed) outcomes
+          (fun acc o -> if Result.is_ok o then acc + 1 else acc)
+          0 outcomes
       in
       Fmt.epr "interrupted after %d/%d finished trials%s@." finished trials
         (resume_hint journal);
       exit 130
     end;
-    let fresh_tbl : (int, D.outcome Rp_support.Pool.supervised) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    Array.iteri (fun k o -> Hashtbl.replace fresh_tbl fresh.(k) o) outcomes;
     let agreed = ref 0 and inconclusive = ref 0 and rejected = ref 0 in
     let diverged = ref [] in
-    for trial = 0 to trials - 1 do
-      let outcome =
-        match Hashtbl.find_opt replayed trial with
-        | Some o -> Some o
-        | None -> (
-          match Hashtbl.find_opt fresh_tbl trial with
-          | Some (Ok o) -> Some o
-          | Some (Error f) ->
-            (* quarantined by the supervisor: wall-clock dependent, so it
-               lives on stderr and counts as inconclusive *)
-            incr inconclusive;
-            Fmt.epr "trial %d (seed %d): quarantined: %a@." trial seed
-              Rp_support.Pool.pp_job_failure f;
-            None
-          | None -> None)
-      in
-      match outcome with
-      | None -> ()
-      | Some (D.Agree _) -> incr agreed
-      | Some (D.Inconclusive m) ->
-        incr inconclusive;
-        Fmt.epr "trial %d (seed %d): inconclusive: %s@." trial seed m
-      | Some (D.Rejected m) ->
-        (* the generator only emits valid programs; a rejection is a
-           generator bug and fails the campaign *)
-        incr rejected;
-        Fmt.epr "trial %d (seed %d): generator emitted a rejected program: \
-                 %s@."
-          trial seed m
-      | Some (D.Diverged fs) ->
-        let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial in
-        let path =
-          Filename.concat out_dir
-            (Printf.sprintf "fuzz-s%d-t%d.c" seed trial)
-        in
-        write_file path src;
-        diverged := (path, src, fs) :: !diverged;
-        Fmt.pr "trial %d (seed %d): %a@.  saved to %s@." trial seed
-          D.pp_outcome (D.Diverged fs) path;
-        List.iter
-          (fun (f : D.failure) ->
-            Fmt.pr "  replay: rpcc reduce %s --config %s --class %s%s%s \
-                    --seed %d@."
-              path f.D.config (D.class_name f.D.cls)
-              (match mode with
-              | D.Plain -> " --plain"
-              | D.Verify -> ""
-              | D.OraclePasses -> " --oracle-passes")
-              (match inject with
-              | Some (c, _) ->
-                " --inject " ^ Rp_fuzz.Faultgen.class_name c
-              | None -> "")
-              seed)
-          fs
-    done;
+    Array.iteri
+      (fun trial -> function
+        | Error f ->
+          (* quarantined by the supervisor: wall-clock dependent, so it
+             lives on stderr and counts as inconclusive *)
+          incr inconclusive;
+          Fmt.epr "trial %d (seed %d): quarantined: %a@." trial seed
+            Rp_support.Pool.pp_job_failure f
+        | Ok (D.Agree _) -> incr agreed
+        | Ok (D.Inconclusive m) ->
+          incr inconclusive;
+          Fmt.epr "trial %d (seed %d): inconclusive: %s@." trial seed m
+        | Ok (D.Rejected m) ->
+          (* the generator only emits valid programs; a rejection is a
+             generator bug and fails the campaign *)
+          incr rejected;
+          Fmt.epr "trial %d (seed %d): generator emitted a rejected program: \
+                   %s@."
+            trial seed m
+        | Ok (D.Diverged fs) ->
+          let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial in
+          let path =
+            Filename.concat out_dir
+              (Printf.sprintf "fuzz-s%d-t%d.c" seed trial)
+          in
+          write_file path src;
+          diverged := (path, src, fs) :: !diverged;
+          Fmt.pr "trial %d (seed %d): %a@.  saved to %s@." trial seed
+            D.pp_outcome (D.Diverged fs) path;
+          List.iter
+            (fun (f : D.failure) ->
+              Fmt.pr "  replay: rpcc reduce %s --config %s --class %s%s%s \
+                      --seed %d@."
+                path f.D.config (D.class_name f.D.cls)
+                (match mode with
+                | D.Plain -> " --plain"
+                | D.Verify -> ""
+                | D.OraclePasses -> " --oracle-passes")
+                (match inject with
+                | Some (c, _) ->
+                  " --inject " ^ Rp_fuzz.Faultgen.class_name c
+                | None -> "")
+                seed)
+            fs)
+      outcomes;
     if Rp_support.Resilience.any resil then
       Fmt.epr "; resilience: %a@." Rp_support.Resilience.pp resil;
     Fmt.pr
@@ -929,8 +811,8 @@ let gen_fuzz_cmd =
       const gen_fuzz $ seed_t
       $ trials_t ~doc:"Number of generated programs to test."
       $ mode_t $ inject_t $ oracle_fuel_t $ reduce_t $ budget_t $ out_dir_t
-      $ jobs_t $ job_timeout_t $ retries_campaign_t $ journal_t $ resume_t
-      $ native_t)
+      $ Cli.jobs_t $ Cli.job_timeout_t $ Cli.retries_t $ Cli.journal_t
+      $ Cli.resume_t $ native_t)
 
 let reduce_cmd =
   let reduce file config_name cls_name mode inject iseed fuel budget out =
@@ -1026,13 +908,6 @@ let serve_cmd =
   let serve socket state_dir cas_dir shard_id jobs queue_bound job_timeout
       retries threshold cooldown =
     handle_errors @@ fun () ->
-    let jobs = Rp_support.Cli.jobs ~flag:"--jobs" jobs in
-    let queue_bound =
-      Rp_support.Cli.positive ~flag:"--queue-bound" queue_bound
-    in
-    let threshold =
-      Rp_support.Cli.positive ~flag:"--breaker-threshold" threshold
-    in
     Rp_serve.Daemon.serve
       {
         Rp_serve.Daemon.socket;
@@ -1085,7 +960,7 @@ let serve_cmd =
   in
   let queue_bound_t =
     Arg.(
-      value & opt int 64
+      value & opt Cli.positive 64
       & info [ "queue-bound" ] ~docv:"N"
           ~doc:
             "Admit at most $(docv) jobs per connection batch; the rest \
@@ -1102,7 +977,7 @@ let serve_cmd =
   in
   let threshold_t =
     Arg.(
-      value & opt int 3
+      value & opt Cli.positive 3
       & info [ "breaker-threshold" ] ~docv:"N"
           ~doc:
             "Consecutive supervised failures before a client's circuit \
@@ -1123,17 +998,14 @@ let serve_cmd =
           journal.  SIGKILL-safe (restarts warm on the same --state-dir); \
           SIGTERM/SIGINT drain gracefully.")
     Term.(
-      const serve $ socket_t $ state_dir_t $ cas_dir_t $ shard_id_t $ jobs_t
-      $ queue_bound_t $ serve_timeout_t $ retries_campaign_t $ threshold_t
-      $ cooldown_t)
+      const serve $ socket_t $ state_dir_t $ cas_dir_t $ shard_id_t
+      $ Cli.jobs_t $ queue_bound_t $ serve_timeout_t $ Cli.retries_t
+      $ threshold_t $ cooldown_t)
 
 let fleet_cmd =
   let fleet shards state_dir jobs job_timeout probe_interval probe_timeout
       wedged plant_crash =
     handle_errors @@ fun () ->
-    let shards = Rp_support.Cli.positive ~flag:"SHARDS" shards in
-    let jobs = Rp_support.Cli.jobs ~flag:"--jobs" jobs in
-    let wedged = Rp_support.Cli.positive ~flag:"--wedged-threshold" wedged in
     Rp_serve.Fleet.run
       {
         Rp_serve.Fleet.shards;
@@ -1149,7 +1021,8 @@ let fleet_cmd =
   in
   let shards_t =
     Arg.(
-      value & pos 0 int Rp_serve.Fleet.default_config.Rp_serve.Fleet.shards
+      value
+      & pos 0 Cli.positive Rp_serve.Fleet.default_config.Rp_serve.Fleet.shards
       & info [] ~docv:"SHARDS" ~doc:"Number of shard daemons to supervise.")
   in
   let fleet_state_t =
@@ -1176,7 +1049,7 @@ let fleet_cmd =
   in
   let wedged_t =
     Arg.(
-      value & opt int 3
+      value & opt Cli.positive 3
       & info [ "wedged-threshold" ] ~docv:"N"
           ~doc:
             "Consecutive failed probes before a shard is declared wedged, \
@@ -1207,7 +1080,7 @@ let fleet_cmd =
           each key stays on one warm shard.  SIGTERM/SIGINT drain every \
           shard and exit 0.")
     Term.(
-      const fleet $ shards_t $ fleet_state_t $ jobs_t $ fleet_timeout_t
+      const fleet $ shards_t $ fleet_state_t $ Cli.jobs_t $ fleet_timeout_t
       $ probe_interval_t $ probe_timeout_t $ wedged_t $ plant_crash_t)
 
 let client_cmd =
@@ -1351,4 +1224,4 @@ let main =
     [ run_cmd; dump_cmd; run_il_cmd; table_cmd; fuzz_cmd; gen_fuzz_cmd;
       reduce_cmd; serve_cmd; fleet_cmd; client_cmd ]
 
-let () = exit (Cmd.eval main)
+let () = exit (Cli.eval main)

@@ -639,24 +639,6 @@ let run ?(seed = 42) ?(seeds = 50) ?(jobs = 1) ?timeout ?retries ?journal
       escapes = [];
     }
   in
-  (* replayed outcomes from a prior (interrupted) campaign's journal: a
-     record is only ever written for a {e finished} trial, so replaying
-     it is byte-equivalent to re-running it *)
-  let replayed : (int, fault_class * outcome) Hashtbl.t = Hashtbl.create 64 in
-  Option.iter
-    (fun path ->
-      List.iter
-        (fun j ->
-          match trial_of_json j with
-          | Some (i, t) when i >= 0 && i < seeds ->
-            Hashtbl.replace replayed i t;
-            (match resilience with
-            | Some r ->
-              Rp_support.Resilience.tick r Rp_support.Resilience.Resumed
-            | None -> ())
-          | _ -> ())
-        (Rp_support.Journal.load path))
-    resume;
   (* one clean compile+run per corpus program, shared by every trial *)
   let baselines =
     List.map
@@ -669,42 +651,18 @@ let run ?(seed = 42) ?(seeds = 50) ?(jobs = 1) ?timeout ?retries ?journal
         (s, r))
       Corpus.all
   in
-  let fresh =
-    Array.of_list
-      (List.filter
-         (fun i -> not (Hashtbl.mem replayed i))
-         (List.init seeds Fun.id))
-  in
-  let jwriter = Option.map Rp_support.Journal.create journal in
-  let on_result i (o : _ Rp_support.Pool.supervised) =
-    match (o, jwriter) with
-    | Ok t, Some w -> Rp_support.Journal.record w (trial_json fresh.(i) t)
-    | _ -> ()
-  in
-  let outcomes =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Rp_support.Journal.close jwriter)
-      (fun () ->
-        Rp_support.Pool.run_supervised ~jobs ?timeout ?retries ?cancel
-          ?resilience ~on_result
-          (fun ~should_stop i -> run_trial ~seed ~should_stop baselines i)
-          fresh)
-  in
-  (* fold in trial-index order over the union of replayed and fresh
-     trials, so the report is identical to an uninterrupted campaign's *)
-  let fresh_outcome : (int, (fault_class * outcome, Rp_support.Pool.job_failure) result) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Array.iteri (fun k o -> Hashtbl.replace fresh_outcome fresh.(k) o) outcomes;
-  for i = 0 to seeds - 1 do
-    match Hashtbl.find_opt replayed i with
-    | Some t -> record report t
-    | None -> (
-      match Hashtbl.find_opt fresh_outcome i with
-      | Some (Ok t) -> record report t
-      | Some (Error f) -> on_failure i f
-      | None -> ())
-  done;
+  (* a record is only ever written for a {e finished} trial, so replaying
+     it is byte-equivalent to re-running it; outcomes come back in trial
+     order, so the report is identical to an uninterrupted campaign's *)
+  Rp_support.Pool.run_journaled ~jobs ?timeout ?retries ?cancel ?resilience
+    ?journal ?resume ~key:Fun.id
+    ~encode:(fun i t -> Some (trial_json i t))
+    ~decode:trial_of_json
+    (fun ~should_stop i -> run_trial ~seed ~should_stop baselines i)
+    (Array.init seeds Fun.id)
+  |> Array.iteri (fun i -> function
+       | Ok t -> record report t
+       | Error f -> on_failure i f);
   report
 
 let total_escapes r =

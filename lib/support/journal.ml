@@ -52,15 +52,14 @@ let close w =
 
 let path w = w.path
 
-(* Classify one parsed line: a v2 wrapper is unwrapped after its CRC
-   checks out; anything else is a CRC-less v1 record, taken as-is. *)
+(* Unwrap one parsed line after its CRC checks out. *)
 let unwrap = function
   | Json.Obj [ ("crc32", Json.Str h); ("r", payload) ] -> (
     let bytes = Json.to_string ~indent:false payload in
     match Crc32.of_hex h with
     | Some c when c = Crc32.string bytes -> Ok payload
     | _ -> Error "crc32 mismatch")
-  | j -> Ok j
+  | _ -> Error "not a crc32 record"
 
 let load ?(on_skip = fun ~line:_ _ -> ()) path =
   if not (Sys.file_exists path) then []

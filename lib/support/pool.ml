@@ -313,3 +313,51 @@ let run_supervised ~jobs ?timeout ?(retries = 1) ?(grace = 1.0) ?(poll = 0.002)
         jstate;
     results
   end
+
+(* ------------------------------------------------------------------ *)
+(* Resumable campaigns                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let run_journaled ~jobs ?timeout ?retries ?cancel ?resilience ?journal ?resume
+    ~key ~encode ~decode f inputs =
+  let replayed = Hashtbl.create 64 in
+  Option.iter
+    (fun path ->
+      List.iter
+        (fun j ->
+          match decode j with
+          | Some (k, v) when not (Hashtbl.mem replayed k) ->
+            Hashtbl.add replayed k v
+          | _ -> ())
+        (Journal.load path))
+    resume;
+  let results =
+    Array.map
+      (fun x ->
+        match Hashtbl.find_opt replayed (key x) with
+        | Some v ->
+          Option.iter (fun r -> Resilience.tick r Resilience.Resumed) resilience;
+          Ok v
+        | None -> Error (Crashed { reason = "cancelled"; attempts = 0 }))
+      inputs
+  in
+  let fresh =
+    Array.of_list
+      (List.filter
+         (fun i -> Result.is_error results.(i))
+         (List.init (Array.length inputs) Fun.id))
+  in
+  let writer = Option.map Journal.create journal in
+  let on_result k o =
+    match (o, writer) with
+    | Ok v, Some w ->
+      Option.iter (Journal.record w) (encode inputs.(fresh.(k)) v)
+    | _ -> ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Journal.close writer)
+    (fun () ->
+      run_supervised ~jobs ?timeout ?retries ?cancel ?resilience ~on_result f
+        (Array.map (fun i -> inputs.(i)) fresh))
+  |> Array.iteri (fun k o -> results.(fresh.(k)) <- o);
+  results

@@ -1,6 +1,7 @@
 (** Fixed-size Domain worker pool with deterministic, index-ordered
     collection, and a supervised variant with per-job deadlines, bounded
-    retries, and worker respawn.  See {!run} and {!run_supervised}. *)
+    retries, and worker respawn, which {!run_journaled} makes
+    crash-resumable.  See {!run}, {!run_supervised} and {!run_journaled}. *)
 
 type 'a outcome = ('a, exn) result
 
@@ -102,3 +103,32 @@ val run_supervised :
     resolves (completes, or exhausts its retries) — not on cancellation.
     All live (non-abandoned) workers are joined before returning, even if
     supervision raises. *)
+
+val run_journaled :
+  jobs:int ->
+  ?timeout:float ->
+  ?retries:int ->
+  ?cancel:(unit -> bool) ->
+  ?resilience:Resilience.t ->
+  ?journal:string ->
+  ?resume:string ->
+  key:('a -> 'k) ->
+  encode:('a -> 'b -> Json.t option) ->
+  decode:(Json.t -> ('k * 'b) option) ->
+  (should_stop:(unit -> bool) -> 'a -> 'b) ->
+  'a array ->
+  'b supervised array
+(** A crash-resumable campaign: {!run_supervised} behind a {!Journal}.
+
+    [resume] names a previous run's journal: every record [decode]s to
+    an item key and its finished value, and each input whose [key] was
+    replayed takes that value without running (the first record for a
+    key wins; records matching no input are ignored) and ticks
+    [Resumed].  The remaining inputs run supervised; each one that
+    completes is appended to [journal] as [encode input value] (skipped
+    when [None]) before the campaign moves on.
+
+    Results come back in input order, replayed and fresh merged, so a
+    resumed campaign folds exactly as an uninterrupted one.  On
+    cancellation unfinished inputs are [Error (Crashed {reason =
+    "cancelled"; _})], as in {!run_supervised}. *)

@@ -214,6 +214,40 @@ let test_supervised_on_result_fires_once_per_resolution () =
        0 out);
   Util.check Alcotest.int "one on_result per job" 20 (Atomic.get fired)
 
+let test_journaled_resume_merges_in_order () =
+  let module Json = Rp_support.Json in
+  let module R = Rp_support.Resilience in
+  let path = Filename.temp_file "rp_pool" ".jsonl" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let calls = Atomic.make 0 in
+  let run ?journal ?resume () =
+    let resil = R.create () in
+    let out =
+      Pool.run_journaled ~jobs:2 ?journal ?resume ~resilience:resil
+        ~key:Fun.id
+        (* odd results are not journaled *)
+        ~encode:(fun i v ->
+          if v mod 2 = 0 then
+            Some (Json.Obj [ ("i", Json.Int i); ("v", Json.Int v) ])
+          else None)
+        ~decode:(function
+          | Json.Obj [ ("i", Json.Int i); ("v", Json.Int v) ] -> Some (i, v)
+          | _ -> None)
+        (fun ~should_stop:_ i ->
+          Atomic.incr calls;
+          i * 3)
+        (Array.init 6 Fun.id)
+    in
+    (Array.map Result.get_ok out, R.count resil R.Resumed)
+  in
+  let (first, _) = run ~journal:path () in
+  Atomic.set calls 0;
+  let (resumed, replayed) = run ~resume:path () in
+  Util.check Alcotest.(array int) "same results in input order" first resumed;
+  Util.check Alcotest.int "journaled items replayed" 3 replayed;
+  Util.check Alcotest.int "only unjournaled items rerun" 3 (Atomic.get calls)
+
 (* ------------------------------------------------------------------ *)
 (* The precompile cache                                                *)
 (* ------------------------------------------------------------------ *)
@@ -384,6 +418,8 @@ let () =
             test_supervised_cancellation;
           Util.tc "on_result fires once per resolved job"
             test_supervised_on_result_fires_once_per_resolution;
+          Util.tc "journaled resume replays, reruns the rest, keeps order"
+            test_journaled_resume_merges_in_order;
         ] );
       ( "precomp-cache",
         [

@@ -1,9 +1,11 @@
 (** The supervised execution layer, end to end: the reducer's deadline
     contract, crash-resumable campaigns (SIGKILL a [gen-fuzz] run
     mid-flight, resume it from the journal, and demand byte-identical
-    stdout), and the bench grid's planted-hang drill (a never-terminating
+    stdout), the bench grid's planted-hang drill (a never-terminating
     cell must land as a degraded cell under the retry policy while every
-    other cell of BENCH_counts.json stays byte-identical). *)
+    other cell of BENCH_counts.json stays byte-identical), and the bench
+    grid's journal resume (a counts document byte-identical to the
+    uninterrupted run's). *)
 
 module Json = Rp_support.Json
 module Reduce = Rp_fuzz.Reduce
@@ -149,18 +151,33 @@ let test_gen_fuzz_kill_and_resume () =
     res2_out
 
 (* ------------------------------------------------------------------ *)
-(* bench --json: the planted-hang drill                                *)
+(* bench --json: the planted-hang drill and journal resume             *)
 (* ------------------------------------------------------------------ *)
 
-let test_bench_planted_hang_degrades_one_cell () =
+(* Run [bench --json ARGS] in [dir/sub]; the directory holding its
+   BENCH_counts.json and BENCH_timings.json. *)
+let bench_json dir sub args =
   let bench = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
+  let d = Filename.concat dir sub in
+  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
+  let (st, _) = run_capture ~dir:d (bench :: "--json" :: args) in
+  Alcotest.(check int) (sub ^ " exit 0") 0 st;
+  d
+
+let resilience_count d k =
+  match
+    Option.bind
+      (Json.member "resilience"
+         (Json.of_file (Filename.concat d "BENCH_timings.json")))
+      (Json.member k)
+  with
+  | Some (Json.Int n) -> n
+  | _ -> -1
+
+let test_bench_planted_hang_degrades_one_cell () =
   in_temp_dir "bench" @@ fun dir ->
   let counts sub args =
-    let d = Filename.concat dir sub in
-    (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-    let (st, _) = run_capture ~dir:d (bench :: "--json" :: args) in
-    Alcotest.(check int) (sub ^ " exit 0") 0 st;
-    Json.of_file (Filename.concat d "BENCH_counts.json")
+    Json.of_file (Filename.concat (bench_json dir sub args) "BENCH_counts.json")
   in
   let baseline = counts "base" [ "--jobs"; "4" ] in
   (* the timeout must be generous enough that only the planted cell hits
@@ -170,13 +187,14 @@ let test_bench_planted_hang_degrades_one_cell () =
      ~0.8 s alone but multiples of that with four jobs contending on a
      small core count, so 10 s is the margin that keeps them honest
      while the planted hang still trips both attempts. *)
-  let planted =
-    counts "planted"
+  let planted_dir =
+    bench_json dir "planted"
       [
         "--jobs"; "4"; "--job-timeout"; "10"; "--retries"; "1"; "--plant-hang";
         "mlink:modref/with";
       ]
   in
+  let planted = Json.of_file (Filename.concat planted_dir "BENCH_counts.json") in
   let programs j =
     match Json.member "programs" j with
     | Some (Json.Obj ps) -> ps
@@ -191,18 +209,14 @@ let test_bench_planted_hang_degrades_one_cell () =
     Alcotest.(check bool) "reason mentions the timeout" true
       (contains reason "timed out")
   | _ -> Alcotest.fail "planted cell should be degraded");
-  (* the run's failure telemetry reflects the drill *)
-  (match Json.member "resilience" planted with
-  | Some r ->
-    let count k =
-      match Json.member k r with Some (Json.Int n) -> n | _ -> -1
-    in
-    Alcotest.(check bool) "at least the two planted timed-out attempts" true
-      (count "timeouts" >= 2);
-    Alcotest.(check bool) "at least the planted retry" true
-      (count "retries" >= 1);
-    Alcotest.(check int) "exactly one quarantined cell" 1 (count "quarantined")
-  | None -> Alcotest.fail "no resilience object");
+  (* the run's failure telemetry, in the timings document, reflects the
+     drill *)
+  let count = resilience_count planted_dir in
+  Alcotest.(check bool) "at least the two planted timed-out attempts" true
+    (count "timeouts" >= 2);
+  Alcotest.(check bool) "at least the planted retry" true
+    (count "retries" >= 1);
+  Alcotest.(check int) "exactly one quarantined cell" 1 (count "quarantined");
   (* every other cell is byte-identical to the unplanted baseline *)
   List.iter
     (fun (pname, cells) ->
@@ -220,6 +234,17 @@ let test_bench_planted_hang_degrades_one_cell () =
           cells
       | _ -> ())
     (programs baseline)
+
+let test_bench_resume_byte_identical () =
+  in_temp_dir "bench" @@ fun dir ->
+  let journal = Filename.concat dir "grid.jsonl" in
+  let full = bench_json dir "full" [ "--jobs"; "2"; "--journal"; journal ] in
+  let resumed = bench_json dir "resumed" [ "--jobs"; "2"; "--resume"; journal ] in
+  let read d = read_file (Filename.concat d "BENCH_counts.json") in
+  Alcotest.(check string) "resumed counts byte-identical" (read full)
+    (read resumed);
+  Alcotest.(check int) "every cell replayed" 108
+    (resilience_count resumed "resumed")
 
 let () =
   Alcotest.run "resilience"
@@ -239,5 +264,7 @@ let () =
             test_gen_fuzz_kill_and_resume;
           Util.tc_slow "bench planted hang degrades one cell, others identical"
             test_bench_planted_hang_degrades_one_cell;
+          Util.tc_slow "bench resume from a journal is byte-identical"
+            test_bench_resume_byte_identical;
         ] );
     ]

@@ -354,7 +354,7 @@ let protocol_tests =
           | Ok _ -> Alcotest.fail "expected Run"
           | Error e -> Error e
         in
-        Util.check Alcotest.bool "absent defaults to interp (v1 compat)" true
+        Util.check Alcotest.bool "absent defaults to interp" true
           (mode_of [] = Ok Protocol.Interp);
         Util.check Alcotest.bool "explicit interp" true
           (mode_of [ ("mode", Json.Str "interp") ] = Ok Protocol.Interp);
@@ -364,7 +364,7 @@ let protocol_tests =
           (Result.is_error (mode_of [ ("mode", Json.Str "warp") ]));
         Util.check Alcotest.bool "non-string mode rejected" true
           (Result.is_error (mode_of [ ("mode", Json.Int 3) ])));
-    Util.tc "protocol: v1 requests still parse, responses stamp v2" (fun () ->
+    Util.tc "protocol: v1 requests are rejected, responses stamp v2" (fun () ->
         let v1 =
           Json.Obj
             [
@@ -373,12 +373,9 @@ let protocol_tests =
               ("src", Json.Str "int main() { return 0; }");
             ]
         in
-        (match Protocol.parse_request v1 with
-        | Ok { Protocol.op = Protocol.Run { mode; _ }; _ } ->
-          Util.check Alcotest.bool "v1 run is interp" true
-            (mode = Protocol.Interp)
-        | Ok _ -> Alcotest.fail "expected Run"
-        | Error e -> Alcotest.fail ("v1 parse failed: " ^ e));
+        Util.check Alcotest.bool "v1 request is a schema error" true
+          (Protocol.parse_request v1
+          = Error "unsupported schema rpcc-serve/1 (want rpcc-serve/2)");
         match Protocol.ok ~id:(Json.Int 1) ~client:"c" [] with
         | Json.Obj (("schema", Json.Str s) :: _) ->
           Util.check Alcotest.string "response schema" "rpcc-serve/2" s
@@ -895,6 +892,39 @@ let jobs_validation_tests =
              && (String.sub msg i n = needle || find (i + 1))
            in
            find 0));
+    Util.tc "cli: usage errors exit 2 with a usage line" (fun () ->
+        let q = Filename.quote in
+        let dir = fresh_dir "usage" in
+        let errf = Filename.concat dir "err.txt" in
+        List.iter
+          (fun (label, cmd) ->
+            let st =
+              Sys.command
+                ("cd " ^ q dir ^ " && " ^ cmd ^ " > /dev/null 2> " ^ q errf)
+            in
+            let err = read_file errf in
+            let has needle =
+              let n = String.length needle in
+              let rec find i =
+                i + n <= String.length err
+                && (String.sub err i n = needle || find (i + 1))
+              in
+              find 0
+            in
+            Util.check Alcotest.int (label ^ " exits 2") 2 st;
+            Util.check Alcotest.bool (label ^ " prints a usage line") true
+              (has "Usage:");
+            Util.check Alcotest.bool (label ^ " does not crash") false
+              (has "Fatal error"))
+          [
+            ("rpcc fuzz --trials x", q (rpcc ()) ^ " fuzz --trials x");
+            ("rpcc bogus", q (rpcc ()) ^ " bogus");
+            ("rpcc serve --jobs abc", q (rpcc ()) ^ " serve --jobs abc");
+            ("bench --jobs abc", q (bench ()) ^ " --json --jobs abc");
+            ("bench --retries abc", q (bench ()) ^ " --json --retries abc");
+            ("bench --via-fleet x", q (bench ()) ^ " --json --via-fleet x");
+            ("bench --via-flet 3", q (bench ()) ^ " --json --via-flet 3");
+          ]);
   ]
 
 let () =
