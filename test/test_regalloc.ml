@@ -36,6 +36,12 @@ let sources =
       return 0; }");
   ]
 
+(* a loop with many live loop-invariant constants *)
+let const_loop =
+  "int g; int main() { int i; for (i = 0; i < 100; i++) { g = g + 11 * 13 \
+   + i * 17 + i * 19 + i * 23 + i * 29 + i * 31 + i * 37; } print_int(g); \
+   return 0; }"
+
 let respect_k_tests =
   List.concat_map
     (fun (name, src) ->
@@ -116,11 +122,7 @@ let spill_tests =
     Util.tc "constants rematerialize rather than spill" (fun () ->
         (* a loop with many live loop-invariant constants: they must not
            produce spill loads *)
-        let src =
-          "int g; int main() { int i; for (i = 0; i < 100; i++) { g = g + \
-           11 * 13 + i * 17 + i * 19 + i * 23 + i * 29 + i * 31 + i * 37; \
-           } print_int(g); return 0; }"
-        in
+        let src = const_loop in
         let cfg = { Config.default with Config.k = 6 } in
         let (_, _, r) = Pipeline.compile_and_run ~config:cfg src in
         ignore r;
@@ -136,6 +138,38 @@ let spill_tests =
         let (ops_with, _, _) = Util.counts ~config:with_ src in
         Util.check Alcotest.bool "promotion loses under pressure" true
           (ops_with > ops_without));
+  ]
+
+let stats_tests =
+  [
+    Util.tc "alloc_program sums remat_regs (constant-heavy loop at k=4)"
+      (fun () ->
+        (* [wide] folds to one constant under the optimizer, so the
+           constant-heavy loop is the source that rematerializes *)
+        let unallocated () =
+          Util.compile
+            ~config:{ Config.default with Config.regalloc = false }
+            const_loop
+        in
+        let per_func = ref 0 in
+        let p = unallocated () in
+        Program.iter_funcs
+          (fun f ->
+            per_func := !per_func + (RA.alloc_func p ~k:4 f).RA.remat_regs)
+          p;
+        let st = RA.alloc_program ~k:4 (unallocated ()) in
+        Util.check Alcotest.bool "remat_regs > 0" true (st.RA.remat_regs > 0);
+        Util.check Alcotest.int "sum of per-function remat_regs" !per_func
+          st.RA.remat_regs);
+    Util.tc "alloc_func rejects k < 4" (fun () ->
+        let p =
+          Util.compile
+            ~config:{ Config.default with Config.regalloc = false }
+            (List.assoc "expr" sources)
+        in
+        Alcotest.check_raises "k=3"
+          (Invalid_argument "Regalloc: need at least 4 registers") (fun () ->
+            ignore (RA.alloc_func p ~k:3 (Program.func p "main"))));
   ]
 
 let coalesce_tests =
@@ -389,6 +423,7 @@ let () =
       ("respect_k", respect_k_tests);
       ("semantics", semantics_tests);
       ("spills", spill_tests);
+      ("stats", stats_tests);
       ("coalescing", coalesce_tests);
       ("recursion", recursion_tests);
       ("golden", golden_tests);
