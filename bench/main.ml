@@ -4,8 +4,6 @@
     {v
       dune exec bench/main.exe            -- all count tables (Figures 4-7,
                                              §3.3, register pressure)
-      dune exec bench/main.exe -- --timings   -- Bechamel wall-clock benches,
-                                                 one Test.make per table
       dune exec bench/main.exe -- --json      -- write BENCH_counts.json (the
                                                  paper's counts, nothing else)
                                                  and BENCH_timings.json
@@ -94,12 +92,12 @@ type cell_result = Cok of cell | Cquarantined of string
 
 (** Run [f], converting resource/runtime blowups to {!Quarantined} (with
     the program named) while letting verification failures through.
-    Under the supervised --json grid a run stopped by [should_stop] still
-    reports a resource limit mentioning "external stop", which the grid
-    job uses to tell a deadline from a deterministic fuel exhaustion. *)
+    Under the supervised --json grid a run stopped by its deadline
+    ({!I.stopped}) escapes unwrapped, so the pool classifies the attempt
+    as timed out and applies its retry policy. *)
 let quarantining pname f =
   try f () with
-  | I.Resource_limit m ->
+  | I.Resource_limit m when not (I.stopped m) ->
     raise (Quarantined (Printf.sprintf "%s: resource limit: %s" pname m))
   | Rp_exec.Value.Runtime_error m ->
     raise (Quarantined (Printf.sprintf "%s: runtime error: %s" pname m))
@@ -157,7 +155,9 @@ let interrupted = Atomic.make false
    ladder.  Counts must come out byte-identical (the emitted code carries
    the interpreter's counters); run_ms becomes the native binary's wall
    time.  Compiled binaries are cached in the content-addressed store
-   keyed by program × config × cc identity.
+   keyed by emitted C × cc identity × cc flags — not by program × config
+   — so the cells whose configurations emit the same C (most of the grid:
+   promotion barely depends on analysis precision) share one binary.
 
    Every cell goes down the backend's degradation ladder: an
    infrastructure failure (cc crash, sandbox trip, garbled trailer,
@@ -184,11 +184,10 @@ let run_native ?should_stop pname (cfg : Config.t) source cc =
   let config = apply_verify cfg in
   let prog, st = Pipeline.compile ~config source in
   assert_healthy pname st;
-  let key = Pipeline.cache_key ~config source in
   ( st,
     quarantining pname (fun () ->
         Rp_backend.Native.run_laddered ?deadline:!job_timeout
-          ~cache:(Lazy.force native_cas) ~key
+          ~cache:(Lazy.force native_cas)
           ~interp:(fun () ->
             let t0 = Rp_support.Clock.now () in
             let r = I.run ?should_stop ?deadline:!job_timeout prog in
@@ -572,11 +571,6 @@ let host_json () =
       ("word_size", Json.Int Sys.word_size);
     ]
 
-let has_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 (** One finished grid cell: its paper counts, the fields of its
     timings-document entry, whether a native request was answered by the
     ladder's interpreter rung, and a [--verify-passes] failure that must
@@ -659,11 +653,6 @@ let local_run breaker ~should_stop
     }
   | Error (Breaker.Open_circuit key) ->
     degraded (Printf.sprintf "%s under %s: circuit open for %s" pname cname key)
-  | Error (Quarantined m) when has_substring m "external stop" ->
-    (* the interpreter was stopped by the pool's deadline, not by its
-       own fuel: re-raise so the pool classifies the attempt as timed
-       out and applies the retry policy *)
-    raise (Quarantined m)
   | Error (Quarantined m) -> degraded m
   | Error (Failure m) -> { (degraded m) with fatal = Some m }
   | Error e -> raise e
@@ -965,80 +954,13 @@ let grid ?fleet backend =
   Fmt.pr "wrote BENCH_timings.json (grid wall %.1f ms)@." (1000. *. grid_wall)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing benches (one Test.make per table)                   *)
-(* ------------------------------------------------------------------ *)
 
-let timings () =
-  let open Bechamel in
-  let mlink = (Rp_suite.Programs.find "mlink").Rp_suite.Programs.source in
-  let go = (Rp_suite.Programs.find "go").Rp_suite.Programs.source in
-  let compile cfg src () = ignore (Pipeline.compile ~config:cfg src) in
-  let grid name = List.assoc name Config.paper_grid in
-  let tests =
-    Test.make_grouped ~name:"tables"
-      [
-        (* Figure 4 is the front end itself *)
-        Test.make ~name:"figure4_frontend"
-          (Staged.stage (fun () ->
-               List.iter
-                 (fun (p : Rp_suite.Programs.program) ->
-                   ignore (Rp_irgen.Irgen.compile_source p.Rp_suite.Programs.source))
-                 Rp_suite.Programs.all));
-        (* Figures 5-7 all flow through the grid pipeline; time one
-           representative program per figure *)
-        Test.make ~name:"figure5_pipeline_modref"
-          (Staged.stage (compile (grid "modref/with") mlink));
-        Test.make ~name:"figure6_pipeline_pointer"
-          (Staged.stage (compile (grid "pointer/with") mlink));
-        Test.make ~name:"figure7_pipeline_go"
-          (Staged.stage (compile (grid "pointer/with") go));
-        (* §3.3 adds pointer-based promotion *)
-        Test.make ~name:"section33_ptr_promotion"
-          (Staged.stage
-             (compile
-                { Config.default with
-                  Config.analysis = Config.Apointer; ptr_promote = true }
-                (Rp_suite.Programs.find "fft").Rp_suite.Programs.source));
-        (* the pressure table exercises the allocator *)
-        Test.make ~name:"pressure_regalloc_k12"
-          (Staged.stage
-             (compile
-                { Config.default with Config.k = 12 }
-                (Rp_suite.Programs.find "water").Rp_suite.Programs.source));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 10) ()
-  in
-  let raw_results = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
-  in
-  let results = Analyze.merge ols instances results in
-  Fmt.pr "@.== Compiler timings (Bechamel, monotonic clock) ==@.";
-  Hashtbl.iter
-    (fun _instance tbl ->
-      let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-      List.iter
-        (fun (name, result) ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) -> Fmt.pr "%-40s %12.0f ns/run@." name est
-          | _ -> Fmt.pr "%-40s %12s@." name "n/a")
-        (List.sort compare rows))
-    results
-
-(* ------------------------------------------------------------------ *)
-
-(** The tables, [--timings], or the [--json] grid on the backend the
-    flags select.  Incompatible flag combinations are command-line
-    errors (exit 2 with a usage line). *)
-let main want_timings want_tables want_json verify_passes jobs_n timeout
-    retries threshold journal resume hang via_daemon via_fleet want_native
-    plant_cc_failure cc_flags want_plant_crash fleet_state =
+(** The tables, or the [--json] grid on the backend the flags select.
+    Incompatible flag combinations are command-line errors (exit 2 with a
+    usage line). *)
+let main want_json verify_passes jobs_n timeout retries threshold journal
+    resume hang via_daemon via_fleet want_native plant_cc_failure cc_flags
+    want_plant_crash fleet_state =
   let remote = via_daemon <> None || via_fleet <> None in
   let conflicts =
     [
@@ -1127,32 +1049,28 @@ let main want_timings want_tables want_json verify_passes jobs_n timeout
          Fmt.epr "all shards dead@.";
          exit 3
      else begin
-       let only_timings = want_timings && not want_tables in
-       if not only_timings then begin
-         Fmt.pr
-           "Register Promotion in C Programs (Cooper & Lu, PLDI 1997) — \
-            reproduction@.";
-         Fmt.pr
-           "Memory-operation hierarchy (Table 1): iLoad, cLoad, sLoad/sStore, \
-            Load/Store@.";
-         (* each table section survives a quarantined program: the reason is
-            printed in place and the remaining sections still run *)
-         let section f =
-           try f () with Quarantined m -> Fmt.pr "  quarantined: %s@." m
-         in
-         (* compute the full grid in parallel before any table renders; the
-            sections below then read the memo cache in their fixed order *)
-         if !jobs > 1 then prewarm (table_cells ());
-         figure4 ();
-         section metric_tables;
-         section mlink_function;
-         section section33;
-         List.iter
-           (fun t -> section (fun () -> print_counts_table t))
-           (counts_tables ());
-         Fmt.pr "@.All configurations produced identical checksums per program.@."
-       end;
-       if want_timings then timings ()
+       Fmt.pr
+         "Register Promotion in C Programs (Cooper & Lu, PLDI 1997) — \
+          reproduction@.";
+       Fmt.pr
+         "Memory-operation hierarchy (Table 1): iLoad, cLoad, sLoad/sStore, \
+          Load/Store@.";
+       (* each table section survives a quarantined program: the reason is
+          printed in place and the remaining sections still run *)
+       let section f =
+         try f () with Quarantined m -> Fmt.pr "  quarantined: %s@." m
+       in
+       (* compute the full grid in parallel before any table renders; the
+          sections below then read the memo cache in their fixed order *)
+       if !jobs > 1 then prewarm (table_cells ());
+       figure4 ();
+       section metric_tables;
+       section mlink_function;
+       section section33;
+       List.iter
+         (fun t -> section (fun () -> print_counts_table t))
+         (counts_tables ());
+       Fmt.pr "@.All configurations produced identical checksums per program.@."
      end);
     `Ok ()
 
@@ -1167,8 +1085,6 @@ let () =
     Term.(
       ret
         (const main
-        $ flag "timings" "Run the Bechamel wall-clock benches, one per table."
-        $ flag "tables" "With $(b,--timings), print the count tables too."
         $ flag "json"
             "Run the paper grid and write BENCH_counts.json (the counts) and \
              BENCH_timings.json (everything about the run) instead of the \

@@ -271,16 +271,15 @@ let run_cmd =
             src
         | Some (cc, cache) ->
           let prog, st = Pipeline.compile ~config src in
-          let key = Pipeline.cache_key ~config src in
           let r =
             Rp_backend.Native.run ?fuel ?max_depth ?deadline:timeout ~cache
-              ~key ~cc prog
+              ~cc prog
           in
           (prog, st, r)
       with
       | Rp_exec.Interp.Resource_limit m as e ->
-        if timeout <> None && String.starts_with ~prefix:"external stop" m
-        then Rp_support.Resilience.tick resil Rp_support.Resilience.Timeout;
+        if timeout <> None && Rp_exec.Interp.stopped m then
+          Rp_support.Resilience.tick resil Rp_support.Resilience.Timeout;
         raise e
       | Rp_backend.Native.Error m ->
         Fmt.epr "error: native backend: %s@." m;

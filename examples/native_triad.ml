@@ -3,9 +3,10 @@
     compiled-C backend, check every observable agrees bit for bit, and
     report the speedup.
 
-    Degrades gracefully: without a working system C compiler the example
-    prints the interpreter numbers and says why the native half was
-    skipped.
+    Degrades gracefully: the native half goes down the backend's
+    degradation ladder, so without a working system C compiler the
+    example prints the interpreter numbers and says why the native half
+    fell back.
 
     {v dune exec examples/native_triad.exe v} *)
 
@@ -27,18 +28,21 @@ let () =
   Fmt.pr "interpreter: ops=%d loads=%d stores=%d checksum=%d  %.1f ms@."
     ri.I.total.I.ops ri.I.total.I.loads ri.I.total.I.stores ri.I.checksum
     interp_ms;
-  match Native.find_cc () with
-  | None ->
-    Fmt.pr "@.native backend skipped: no working C compiler (probed `cc \
-            --version`)@."
-  | Some cc ->
-    let timed = Native.run_timed ~cc compiled in
-    let rn = timed.Native.result in
+  let cc = Native.find_cc () in
+  let lad =
+    Native.run_laddered ~interp:(fun () -> (ri, interp_ms)) ~cc compiled
+  in
+  match (cc, lad.Native.l_mode) with
+  | None, _ | _, `Interp ->
+    Fmt.pr "@.native backend skipped: %s@."
+      (Option.value lad.Native.l_degraded ~default:"interpreter rung")
+  | Some cc, `Native ->
+    let rn = lad.Native.l_result in
     Fmt.pr "native (%s): ops=%d loads=%d stores=%d checksum=%d  %.1f ms \
             (+%.0f ms cc)@."
       cc.Native.identity rn.I.total.I.ops rn.I.total.I.loads
-      rn.I.total.I.stores rn.I.checksum timed.Native.exec_ms
-      timed.Native.cc_ms;
+      rn.I.total.I.stores rn.I.checksum lad.Native.l_exec_ms
+      lad.Native.l_cc_ms;
     assert (ri.I.output = rn.I.output);
     assert (ri.I.checksum = rn.I.checksum);
     assert (ri.I.total = rn.I.total);
@@ -46,4 +50,4 @@ let () =
     Fmt.pr
       "@.every observable agrees (output, checksum, total and per-function \
        counts);@.execution is %.1fx faster than interpretation.@."
-      (interp_ms /. timed.Native.exec_ms)
+      (interp_ms /. lad.Native.l_exec_ms)

@@ -136,7 +136,7 @@ let parse_trailer (s : string) : trailer =
   and loads = ref None
   and stores = ref None
   and outlen = ref None
-  and elapsed = ref 0
+  and elapsed = ref None
   and funcs = ref []
   and ended = ref false in
   let rest_after line prefix =
@@ -170,7 +170,7 @@ let parse_trailer (s : string) : trailer =
     | [ "loads"; n ] -> loads := Some (int_of n)
     | [ "stores"; n ] -> stores := Some (int_of n)
     | [ "outlen"; n ] -> outlen := Some (int_of n)
-    | [ "elapsed_ns"; n ] -> elapsed := int_of n
+    | [ "elapsed_ns"; n ] -> elapsed := Some (int_of n)
     | "func" :: o :: l :: st :: name_words ->
       let name = String.concat " " name_words in
       funcs :=
@@ -209,7 +209,7 @@ let parse_trailer (s : string) : trailer =
     loads = req "loads" !loads;
     stores = req "stores" !stores;
     outlen = req "outlen" !outlen;
-    elapsed_ns = !elapsed;
+    elapsed_ns = req "elapsed_ns" !elapsed;
     funcs = List.rev !funcs;
   }
 
@@ -242,38 +242,30 @@ let write_file path s =
 
 (* The compiler subprocess is sandboxed: a wedged or runaway cc must
    degrade this one cell, never take the harness down with it.  OCaml's
-   Unix has no setrlimit, so the rlimits ride a [/bin/sh -c "ulimit ...;
-   exec cc ..."] wrapper — [exec] keeps the limited pid the compiler
-   itself — and the wall-clock deadline is enforced by the harness with
-   a WNOHANG poll + SIGKILL. *)
-type sandbox = {
-  cpu_s : int;
-  mem_mb : int;
-  fsize_mb : int;
-  wall_s : float;
-  spawn_retry : Rp_support.Retry.policy;
-}
+   Unix has no setrlimit, so the rlimits — 60 s CPU, 4 GiB address
+   space, 512 MiB output (in 512-byte blocks) — ride a
+   [/bin/sh -c "ulimit ...; exec cc ..."] wrapper ([exec] keeps the
+   limited pid the compiler itself), and the wall-clock deadline is
+   enforced by the harness with a WNOHANG poll + SIGKILL. *)
+let cc_wall_s = 120.
 
-let default_sandbox =
+(* fork can transiently fail under pressure (EAGAIN) or race a sibling's
+   inherited fd (ETXTBSY on the shell, EUNKNOWNERR 26); absorb a bounded
+   burst through the shared backoff machinery rather than quarantining
+   the cell on the first hiccup *)
+let cc_spawn_retry =
   {
-    cpu_s = 60;
-    mem_mb = 4096;
-    fsize_mb = 512;
-    wall_s = 120.;
-    spawn_retry =
-      {
-        Rp_support.Retry.max_attempts = 5;
-        base_delay = 0.01;
-        max_delay = 0.2;
-        jitter = 0.25;
-      };
+    Rp_support.Retry.max_attempts = 5;
+    base_delay = 0.01;
+    max_delay = 0.2;
+    jitter = 0.25;
   }
 
 let truncate_err err =
   let err = String.trim err in
   if String.length err > 800 then String.sub err 0 800 ^ "..." else err
 
-let cc_compile ?(sandbox = default_sandbox) ~cc csrc =
+let cc_compile ~cc csrc =
   let cfile = Filename.temp_file "rpcc_native" ".c" in
   let bin = Filename.temp_file "rpcc_native" ".bin" in
   let errf = Filename.temp_file "rpcc_cc" ".err" in
@@ -285,22 +277,15 @@ let cc_compile ?(sandbox = default_sandbox) ~cc csrc =
       write_file cfile csrc;
       let cmd =
         Printf.sprintf
-          "ulimit -t %d 2>/dev/null; ulimit -v %d 2>/dev/null; ulimit -f %d \
-           2>/dev/null; exec %s %s -o %s %s -lm 2>%s"
-          sandbox.cpu_s (sandbox.mem_mb * 1024)
-          (sandbox.fsize_mb * 2048)
+          "ulimit -t 60 2>/dev/null; ulimit -v 4194304 2>/dev/null; ulimit -f \
+           1048576 2>/dev/null; exec %s %s -o %s %s -lm 2>%s"
           (Filename.quote cc.path)
           (String.concat " " (List.map Filename.quote cc.flags))
           (Filename.quote bin) (Filename.quote cfile) (Filename.quote errf)
       in
-      (* fork can transiently fail under pressure (EAGAIN) or race a
-         sibling's inherited fd (ETXTBSY on the shell, EUNKNOWNERR 26);
-         absorb a bounded burst through the shared backoff machinery
-         rather than quarantining the cell on the first hiccup *)
       let pid =
         match
-          Rp_support.Retry.with_backoff ~policy:sandbox.spawn_retry
-            (fun () ->
+          Rp_support.Retry.with_backoff ~policy:cc_spawn_retry (fun () ->
               Unix.create_process "/bin/sh"
                 [| "/bin/sh"; "-c"; cmd |]
                 Unix.stdin Unix.stdout Unix.stderr)
@@ -310,7 +295,7 @@ let cc_compile ?(sandbox = default_sandbox) ~cc csrc =
           error "cc spawn failed: %s" (Unix.error_message e)
         | Error e -> error "cc spawn failed: %s" (Printexc.to_string e)
       in
-      let deadline = Rp_support.Clock.now () +. sandbox.wall_s in
+      let deadline = Rp_support.Clock.now () +. cc_wall_s in
       let rec wait () =
         match Unix.waitpid [ Unix.WNOHANG ] pid with
         | 0, _ ->
@@ -318,8 +303,7 @@ let cc_compile ?(sandbox = default_sandbox) ~cc csrc =
             (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
             ignore (Unix.waitpid [] pid);
             (try Sys.remove bin with Sys_error _ -> ());
-            error "cc sandbox: wall-clock deadline (%.0fs) exceeded"
-              sandbox.wall_s
+            error "cc sandbox: wall-clock deadline (%.0fs) exceeded" cc_wall_s
           end
           else begin
             Unix.sleepf 0.02;
@@ -341,45 +325,39 @@ let cc_compile ?(sandbox = default_sandbox) ~cc csrc =
       Unix.chmod bin 0o700;
       bin)
 
-let bin_key ?key ~cc csrc =
+(* Binaries are keyed by what cc actually sees — the emitted C, the
+   compiler identity and its flags — so every program × configuration
+   cell that emits the same C shares one binary. *)
+let bin_key ~cc csrc =
   Rp_support.Cas.key
-    [
-      Cgen.version;
-      (match key with Some k -> k | None -> csrc);
-      cc.identity;
-      String.concat " " cc.flags;
-    ]
+    [ Cgen.version; csrc; cc.identity; String.concat " " cc.flags ]
 
-let compile ?sandbox ?cache ?key ~cc prog =
-  let csrc = Cgen.emit prog in
-  match cache with
-  | None -> (cc_compile ?sandbox ~cc csrc, false)
-  | Some cas -> (
-    let k = bin_key ?key ~cc csrc in
-    match Rp_support.Cas.get cas ~key:k ~kind:"native-bin" with
-    | Some bytes ->
-      let bin = Filename.temp_file "rpcc_native" ".bin" in
-      write_file bin bytes;
-      Unix.chmod bin 0o700;
-      (bin, true)
-    | None ->
-      let bin = cc_compile ?sandbox ~cc csrc in
-      Rp_support.Cas.put cas ~key:k ~kind:"native-bin" (read_file bin);
-      (bin, false))
+(* Reads the cache unless [fresh] (a CRC-valid but behaviourally bad
+   entry would just be refetched); a compile always writes through,
+   repairing the entry for every later job on this key. *)
+let compile_c ?cache ~fresh ~cc csrc =
+  let store = Option.map (fun cas -> (cas, bin_key ~cc csrc)) cache in
+  let cached =
+    match store with
+    | Some (cas, key) when not fresh ->
+      Rp_support.Cas.get cas ~key ~kind:"native-bin"
+    | _ -> None
+  in
+  match cached with
+  | Some bytes ->
+    let bin = Filename.temp_file "rpcc_native" ".bin" in
+    write_file bin bytes;
+    Unix.chmod bin 0o700;
+    (bin, true)
+  | None ->
+    let bin = cc_compile ~cc csrc in
+    Option.iter
+      (fun (cas, key) ->
+        Rp_support.Cas.put cas ~key ~kind:"native-bin" (read_file bin))
+      store;
+    (bin, false)
 
-(* The degradation ladder's second rung: recompile without reading the
-   cache (a CRC-valid but behaviorally bad entry would just be refetched)
-   but write the fresh binary back through, repairing the entry for every
-   later job on this key. *)
-let compile_fresh ?sandbox ?cache ?key ~cc prog =
-  let csrc = Cgen.emit prog in
-  let bin = cc_compile ?sandbox ~cc csrc in
-  (match cache with
-  | Some cas ->
-    Rp_support.Cas.put cas ~key:(bin_key ?key ~cc csrc) ~kind:"native-bin"
-      (read_file bin)
-  | None -> ());
-  bin
+let compile ?cache ~cc prog = compile_c ?cache ~fresh:false ~cc (Cgen.emit prog)
 
 (* ------------------------------------------------------------------ *)
 (* Execute                                                             *)
@@ -393,8 +371,7 @@ let checksum_of_string s =
 (* Returns the result plus the binary's self-timed [main] duration in ms
    (from the trailer's [elapsed_ns]) — the native analogue of interpreter
    run time, excluding fork/exec/loader overhead the harness pays. *)
-let exec_bin_elapsed ?(fuel = 400_000_000) ?(check_tags = true)
-    ?(max_depth = 100_000) ?(seed = 12345) ?deadline bin :
+let exec ?(fuel = 400_000_000) ?(max_depth = 100_000) ?deadline bin :
     Interp.result * float =
   let trailer_path = Filename.temp_file "rpcc_trailer" ".txt" in
   Fun.protect
@@ -403,15 +380,16 @@ let exec_bin_elapsed ?(fuel = 400_000_000) ?(check_tags = true)
     (fun () ->
       let budget = match deadline with Some d -> d | None -> 0.0 in
       (* the binary raises its own stack limit (deep recursion runs on
-         the C stack), so no shell wrapper: exec it directly *)
+         the C stack), so no shell wrapper: exec it directly.  Seed and
+         tag checks are the interpreter's defaults (12345, on). *)
       let argv =
         [|
           bin;
           trailer_path;
           string_of_int fuel;
           string_of_int max_depth;
-          string_of_int seed;
-          (if check_tags then "1" else "0");
+          "12345";
+          "1";
           Printf.sprintf "%.6f" budget;
         |]
       in
@@ -425,13 +403,20 @@ let exec_bin_elapsed ?(fuel = 400_000_000) ?(check_tags = true)
            constructor for it) is the one transient worth absorbing
            here: a fork racing this exec (another domain spawning cc)
            can briefly hold an inherited write fd to [bin]; retry
-           briefly rather than quarantine *)
+           briefly rather than quarantine.  Any other exec failure (a
+           cached payload the kernel will not load) is infrastructure:
+           close the pipe and let the ladder recompile. *)
         let rec spawn attempts =
-          try Unix.create_process bin argv Unix.stdin w_out Unix.stderr
-          with
-          | Unix.Unix_error (Unix.EUNKNOWNERR 26, _, _) when attempts > 0 ->
+          match Unix.create_process bin argv Unix.stdin w_out Unix.stderr with
+          | pid -> pid
+          | exception Unix.Unix_error (Unix.EUNKNOWNERR 26, _, _)
+            when attempts > 0 ->
             Unix.sleepf 0.01;
             spawn (attempts - 1)
+          | exception Unix.Unix_error (e, _, _) ->
+            Unix.close r_out;
+            Unix.close w_out;
+            error "native binary exec failed: %s" (Unix.error_message e)
         in
         spawn 100
       in
@@ -485,46 +470,8 @@ let exec_bin_elapsed ?(fuel = 400_000_000) ?(check_tags = true)
         ( { Interp.ret = t.ret; output; checksum = t.checksum; total; per_func },
           float_of_int t.elapsed_ns /. 1e6 ))
 
-let exec_bin ?fuel ?check_tags ?max_depth ?seed ?deadline bin =
-  fst (exec_bin_elapsed ?fuel ?check_tags ?max_depth ?seed ?deadline bin)
-
-type timed = {
-  result : Interp.result;
-  cc_ms : float;
-  exec_ms : float;
-  cache_hit : bool;
-}
-
-let run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
-    ?key ~cc prog =
-  let t0 = Rp_support.Clock.now () in
-  let bin, cache_hit = compile ?sandbox ?cache ?key ~cc prog in
-  let t1 = Rp_support.Clock.now () in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
-    (fun () ->
-      let result, elapsed_ms =
-        exec_bin_elapsed ?fuel ?check_tags ?max_depth ?seed ?deadline bin
-      in
-      let t2 = Rp_support.Clock.now () in
-      {
-        result;
-        cc_ms = (t1 -. t0) *. 1000.;
-        (* prefer the binary's own clock; a pre-elapsed_ns binary from an
-           older cache entry reports 0, fall back to harness wall time *)
-        exec_ms =
-          (if elapsed_ms > 0. then elapsed_ms else (t2 -. t1) *. 1000.);
-        cache_hit;
-      })
-
-let run ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache ?key ~cc
-    prog =
-  (run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache ?key
-     ~cc prog)
-    .result
-
 (* ------------------------------------------------------------------ *)
-(* Degradation ladder                                                  *)
+(* Attempts and the degradation ladder                                 *)
 (* ------------------------------------------------------------------ *)
 
 type laddered = {
@@ -536,15 +483,36 @@ type laddered = {
   l_cache_hit : bool;
 }
 
-(* native → recompile-once (cache-read bypassed, write-through) →
+(* One native attempt: emit + compile (through the cache unless
+   [fresh]), exec, remove the temp binary. *)
+let attempt ?fuel ?max_depth ?deadline ?cache ~fresh ~cc prog =
+  let t0 = Rp_support.Clock.now () in
+  let bin, cache_hit = compile_c ?cache ~fresh ~cc (Cgen.emit prog) in
+  let cc_ms = 1000. *. Rp_support.Clock.elapsed t0 in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
+    (fun () ->
+      let result, exec_ms = exec ?fuel ?max_depth ?deadline bin in
+      {
+        l_result = result;
+        l_mode = `Native;
+        l_degraded = None;
+        l_cc_ms = cc_ms;
+        l_exec_ms = exec_ms;
+        l_cache_hit = cache_hit;
+      })
+
+let run ?fuel ?max_depth ?deadline ?cache ~cc prog =
+  (attempt ?fuel ?max_depth ?deadline ?cache ~fresh:false ~cc prog).l_result
+
+(* native → recompile-once (cache read bypassed, write-through) →
    interpreter.  Only {!Error} — infrastructure failure — descends a
    rung; faithful program outcomes ([Interp.Error], [Resource_limit],
    [Invalid_argument]) re-raise from whichever rung produced them,
    because every rung computes the same answer by contract.  The
    result is therefore independent of which rungs fired; only the
    telemetry ([l_mode]/[l_degraded]) and the latency differ. *)
-let run_laddered ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
-    ?key ~interp ~cc prog =
+let run_laddered ?deadline ?cache ~interp ~cc prog =
   let fallback reason =
     let result, run_ms = interp () in
     {
@@ -559,46 +527,13 @@ let run_laddered ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
   match cc with
   | None -> fallback "no C compiler"
   | Some cc -> (
-    match
-      run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
-        ?key ~cc prog
-    with
-    | t ->
-      {
-        l_result = t.result;
-        l_mode = `Native;
-        l_degraded = None;
-        l_cc_ms = t.cc_ms;
-        l_exec_ms = t.exec_ms;
-        l_cache_hit = t.cache_hit;
-      }
-    | exception Error first -> (
-      match
-        let t0 = Rp_support.Clock.now () in
-        let bin = compile_fresh ?sandbox ?cache ?key ~cc prog in
-        let t1 = Rp_support.Clock.now () in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
-          (fun () ->
-            let result, elapsed_ms =
-              exec_bin_elapsed ?fuel ?check_tags ?max_depth ?seed ?deadline
-                bin
-            in
-            let t2 = Rp_support.Clock.now () in
-            ( result,
-              (t1 -. t0) *. 1000.,
-              if elapsed_ms > 0. then elapsed_ms else (t2 -. t1) *. 1000. ))
-      with
-      | result, cc_ms, exec_ms ->
+    try attempt ?deadline ?cache ~fresh:false ~cc prog
+    with Error first -> (
+      try
         {
-          l_result = result;
-          l_mode = `Native;
-          l_degraded = Some (Printf.sprintf "recompiled: %s" first);
-          l_cc_ms = cc_ms;
-          l_exec_ms = exec_ms;
-          l_cache_hit = false;
+          (attempt ?deadline ?cache ~fresh:true ~cc prog) with
+          l_degraded = Some ("recompiled: " ^ first);
         }
-      | exception Error second ->
+      with Error second ->
         fallback
-          (Printf.sprintf "native failed twice (%s; retry: %s)" first second)
-      ))
+          (Printf.sprintf "native failed twice (%s; retry: %s)" first second)))

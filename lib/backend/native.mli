@@ -44,22 +44,6 @@ val find_cc :
 val default_cache_dir : unit -> string
 (** Per-user binary cache root under the system temp directory. *)
 
-(* ---- cc sandbox -------------------------------------------------- *)
-
-type sandbox = {
-  cpu_s : int;  (** CPU rlimit for the compiler ([ulimit -t]), seconds *)
-  mem_mb : int;  (** address-space rlimit ([ulimit -v]), MiB *)
-  fsize_mb : int;  (** output file-size rlimit ([ulimit -f]), MiB *)
-  wall_s : float;  (** harness-enforced wall-clock deadline, seconds *)
-  spawn_retry : Rp_support.Retry.policy;
-      (** bounded retries for transient spawn failures (fork [EAGAIN],
-          [ETXTBSY] races) *)
-}
-
-val default_sandbox : sandbox
-(** 60 s CPU, 4 GiB AS, 512 MiB output, 120 s wall, 5 spawn attempts —
-    generous for any one translation unit, fatal for a wedged cc. *)
-
 (* ---- trailer protocol (exposed for tests) ------------------------ *)
 
 type trailer = {
@@ -73,7 +57,7 @@ type trailer = {
   outlen : int;  (** bytes the binary wrote to stdout *)
   elapsed_ns : int;
       (** the binary's self-timed [main] duration (monotonic clock, from
-          entry to trailer write); 0 if the line is absent *)
+          entry to trailer write) *)
   funcs : (string * Rp_exec.Interp.counts) list;  (** didx order, all funcs *)
 }
 
@@ -86,83 +70,38 @@ val parse_trailer : string -> trailer
 
 (* ---- compile & execute ------------------------------------------- *)
 
-val compile :
-  ?sandbox:sandbox ->
-  ?cache:Rp_support.Cas.t ->
-  ?key:string ->
-  cc:cc ->
-  Rp_ir.Program.t ->
-  string * bool
-(** [compile ?cache ?key ~cc prog] emits C, compiles it, and returns
+val compile : ?cache:Rp_support.Cas.t -> cc:cc -> Rp_ir.Program.t -> string * bool
+(** [compile ?cache ~cc prog] emits C, compiles it, and returns
     [(binary_path, cache_hit)].  The binary lands in a fresh temp file the
     caller should remove when done.  With [?cache], compiled binaries are
     stored content-addressed under
-    [Cas.key [Cgen.version; key-or-C-source; cc identity; cc flags]] —
-    pass {!Rp_driver.Pipeline.cache_key} output as [?key] to key on
-    program fingerprint × config fingerprint, or omit [key] to fall back
-    to hashing the emitted C itself.  Raises {!Error} if cc fails. *)
+    [Cas.key [Cgen.version; emitted C; cc identity; cc flags]]: binaries
+    are keyed by the code cc sees, not by program × configuration, so
+    grid cells whose configurations emit the same C share one binary.
+    The compiler runs sandboxed (60 s CPU, 4 GiB address space, 512 MiB
+    output, 120 s wall clock).  Raises {!Error} if cc fails. *)
 
-val exec_bin :
+val run :
   ?fuel:int ->
-  ?check_tags:bool ->
   ?max_depth:int ->
-  ?seed:int ->
   ?deadline:float ->
-  string ->
+  ?cache:Rp_support.Cas.t ->
+  cc:cc ->
+  Rp_ir.Program.t ->
   Rp_exec.Interp.result
-(** Execute a compiled binary with the interpreter's runtime parameter
-    defaults (fuel 400M, tag checks on, depth 100k, seed 12345).  The
-    binary raises its own stack rlimit to the hard maximum at startup
-    (deep IR recursion lives on the C stack; the interpreter's frames
-    lived on the OCaml heap), with
+(** One native attempt as a drop-in for {!Rp_exec.Interp.run}: {!compile},
+    execute, clean up.  Runtime parameters default as the interpreter's
+    (fuel 400M, depth 100k); the seed (12345) and tag checks (on) are
+    always the interpreter's defaults.  The binary raises its own stack
+    rlimit to the hard maximum at startup (deep IR recursion lives on the
+    C stack; the interpreter's frames lived on the OCaml heap), with
     stdout captured as the program output and the trailer read from a
     private temp file.  [?deadline] is a wall-clock budget in seconds,
     enforced cooperatively by the emitted code's 4096-op poll exactly
     like the interpreter's [should_stop].  Raises [Interp.Error],
     [Interp.Resource_limit], or [Invalid_argument] as the interpreter
-    would; {!Error} on infrastructure failure. *)
-
-val run :
-  ?fuel:int ->
-  ?check_tags:bool ->
-  ?max_depth:int ->
-  ?seed:int ->
-  ?deadline:float ->
-  ?sandbox:sandbox ->
-  ?cache:Rp_support.Cas.t ->
-  ?key:string ->
-  cc:cc ->
-  Rp_ir.Program.t ->
-  Rp_exec.Interp.result
-(** [compile] + [exec_bin] + cleanup, as a drop-in for
-    {!Rp_exec.Interp.run}. *)
-
-type timed = {
-  result : Rp_exec.Interp.result;
-  cc_ms : float;  (** emit + compile (0.0 on a binary-cache hit) *)
-  exec_ms : float;
-      (** the binary's self-timed [main] duration: the native [run_ms],
-          symmetric with the interpreter's (which excludes compile) —
-          fork/exec/loader overhead is harness cost, not program run
-          time.  Falls back to harness-measured wall time if the trailer
-          carries no [elapsed_ns]. *)
-  cache_hit : bool;
-}
-
-val run_timed :
-  ?fuel:int ->
-  ?check_tags:bool ->
-  ?max_depth:int ->
-  ?seed:int ->
-  ?deadline:float ->
-  ?sandbox:sandbox ->
-  ?cache:Rp_support.Cas.t ->
-  ?key:string ->
-  cc:cc ->
-  Rp_ir.Program.t ->
-  timed
-(** Like {!run} but splitting compile time from execution time, for the
-    bench harness's [run_ms] accounting. *)
+    would; {!Error} on infrastructure failure, including a binary the
+    kernel will not exec. *)
 
 (* ---- graceful degradation ---------------------------------------- *)
 
@@ -172,31 +111,29 @@ type laddered = {
   l_degraded : string option;
       (** [Some reason] when any rung below the first fired — including
           a successful recompile that still answered natively *)
-  l_cc_ms : float;
+  l_cc_ms : float;  (** emit + compile, or binary-cache read on a hit *)
   l_exec_ms : float;
+      (** the run time: the binary's self-timed [main] duration
+          (symmetric with the interpreter's, which excludes compile —
+          fork/exec/loader overhead is harness cost), or the [interp]
+          thunk's own figure on the interpreter rung *)
   l_cache_hit : bool;
 }
 
 val run_laddered :
-  ?fuel:int ->
-  ?check_tags:bool ->
-  ?max_depth:int ->
-  ?seed:int ->
   ?deadline:float ->
-  ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->
-  ?key:string ->
   interp:(unit -> Rp_exec.Interp.result * float) ->
   cc:cc option ->
   Rp_ir.Program.t ->
   laddered
-(** The graceful degradation ladder: native → one fresh recompile that
-    bypasses the binary cache's read side (but writes through, repairing
-    a bad entry for later jobs) → the caller's [interp] thunk (which
-    returns the result plus its run time in ms).  Only {!Error} —
-    infrastructure failure: cc missing or crashing, a sandbox-limit
-    trip, a malformed trailer, a corrupt cached binary — descends a
-    rung.  Faithful program outcomes ({!Rp_exec.Interp.Error},
+(** The graceful degradation ladder: one {!run} attempt → one fresh
+    recompile that bypasses the binary cache's read side (but writes
+    through, repairing a bad entry for later jobs) → the caller's
+    [interp] thunk (which returns the result plus its run time in ms).
+    Only {!Error} — infrastructure failure: cc missing or crashing, a
+    sandbox-limit trip, a malformed trailer, a corrupt cached binary —
+    descends a rung.  Faithful program outcomes ({!Rp_exec.Interp.Error},
     {!Rp_exec.Interp.Resource_limit}, [Invalid_argument]) re-raise from
     whichever rung produced them: every rung computes the same answer by
     contract, so the result is rung-independent and only the telemetry

@@ -155,6 +155,10 @@ let check_tagset st (tags : Tagset.t) base op =
         actual.Tag.name Tagset.pp tags
   end
 
+(* The prefix of the [should_stop] raise below; the native runtime's
+   identical poll and the daemon's fuzz-batch stop write it too. *)
+let stopped msg = String.starts_with ~prefix:"external stop" msg
+
 let[@inline] tick st (fc : counts) =
   let t = st.total in
   t.ops <- t.ops + 1;

@@ -38,6 +38,13 @@ exception Resource_limit of string
     interpreter resource limit rather than trapping.  Reported by [rpcc]
     with its own exit code (3). *)
 
+val stopped : string -> bool
+(** Whether a {!Resource_limit} message reports an external stop — the
+    [should_stop]/[deadline] poll firing, here or in a native binary —
+    rather than the program exhausting its own fuel or stack.
+    Supervisors use it to tell their own deadline from a deterministic
+    limit. *)
+
 (** Run the program.
     @param fuel maximum executed operations (default 4×10⁸)
     @param check_tags dynamic tag-set verification (default on)

@@ -1,8 +1,8 @@
 (** A crash-tolerant content-addressed store.
 
     The [rpcc serve] daemon's warm path: compile artifacts — serialized
-    front-end and post-pipeline programs, stats JSON, interpreter results
-    — are stored under a key derived from the {e content} that produced
+    post-pipeline programs, stats JSON, interpreter results, native
+    binaries — are stored under a key derived from the {e content} that produced
     them (source text, configuration fingerprint, pipeline pass version),
     so identical traffic skips the pipeline entirely and a SIGKILL'd
     daemon restarts warm.

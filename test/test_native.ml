@@ -52,6 +52,7 @@ let ok_trailer =
    loads 7\n\
    stores 3\n\
    outlen 6\n\
+   elapsed_ns 2500\n\
    func 60 4 2 main\n\
    func 40 3 1 helper\n\
    end\n"
@@ -75,6 +76,7 @@ let trailer_tests =
         Util.check Alcotest.int "loads" 7 t.Native.loads;
         Util.check Alcotest.int "stores" 3 t.Native.stores;
         Util.check Alcotest.int "outlen" 6 t.Native.outlen;
+        Util.check Alcotest.int "elapsed_ns" 2500 t.Native.elapsed_ns;
         Util.check Alcotest.int "funcs" 2 (List.length t.Native.funcs);
         let h = List.assoc "helper" t.Native.funcs in
         Util.check Alcotest.int "helper ops" 40 h.I.ops);
@@ -83,7 +85,7 @@ let trailer_tests =
         let t =
           Native.parse_trailer
             "rpcc-native/1\nstatus trap\nmsg division by zero\nchecksum 1\n\
-             ops 5\nloads 0\nstores 0\noutlen 0\nend\n"
+             ops 5\nloads 0\nstores 0\noutlen 0\nelapsed_ns 1\nend\n"
         in
         Util.check Alcotest.bool "status" true (t.Native.status = `Trap);
         Util.check Alcotest.string "msg" "division by zero" t.Native.msg);
@@ -100,6 +102,9 @@ let trailer_tests =
       "rpcc-native/1\nstatus ok\nret int 1\nchecksum x\nops 1\nloads 0\n\
        stores 0\noutlen 0\nend\n";
     expect_error "unknown status" "rpcc-native/1\nstatus maybe\nend\n";
+    expect_error "missing elapsed_ns"
+      "rpcc-native/1\nstatus ok\nret int 1\nchecksum 1\nops 1\nloads 0\n\
+       stores 0\noutlen 0\nend\n";
     expect_error "ok without ret"
       "rpcc-native/1\nstatus ok\nchecksum 1\nops 1\nloads 0\nstores 0\n\
        outlen 0\nend\n";
@@ -272,6 +277,99 @@ let error_path_tests cc =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Binary cache and the degradation ladder                             *)
+(* ------------------------------------------------------------------ *)
+
+let store_seq = ref 0
+
+(** A private binary store under the system temp dir, removed after [f]. *)
+let with_store f =
+  incr store_seq;
+  let root =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rp-native-%d-%d" (Unix.getpid ()) !store_seq)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote root) : int))
+    (fun () -> f (Rp_support.Cas.open_ root))
+
+let native_bins cas =
+  let objects = Filename.concat (Rp_support.Cas.root cas) "objects" in
+  let ls d = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
+  List.concat_map
+    (fun shard ->
+      List.filter
+        (fun f -> Filename.check_suffix f ".native-bin")
+        (ls (Filename.concat objects shard)))
+    (ls objects)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let same_result (a : I.result) (b : I.result) =
+  a.I.output = b.I.output && a.I.checksum = b.I.checksum
+  && a.I.total = b.I.total && a.I.per_func = b.I.per_func
+
+let cache_tests cc =
+  [
+    Util.tc_slow "binary cache: configs that emit the same C share a binary"
+      (fun () ->
+        with_store @@ fun cache ->
+        let src = (Rp_suite.Programs.find "mlink").Rp_suite.Programs.source in
+        let compile cname =
+          let config = List.assoc cname Config.paper_grid in
+          let bin, hit = Native.compile ~cache ~cc (Util.compile ~config src) in
+          Sys.remove bin;
+          hit
+        in
+        Util.check Alcotest.bool "modref/with compiles" false
+          (compile "modref/with");
+        Util.check Alcotest.bool "pointer/with hits" true
+          (compile "pointer/with");
+        Util.check Alcotest.int "native-bin objects" 1
+          (List.length (native_bins cache)));
+    Util.tc_slow "ladder: a cached binary the kernel will not exec is \
+                  recompiled, leaking no fd"
+      (fun () ->
+        with_store @@ fun cache ->
+        let prog =
+          Util.compile "int main() { print_int(6 * 7); return 0; }"
+        in
+        let expected = I.run prog in
+        let interp () = (expected, 0.) in
+        let fds = open_fds () in
+        (* a CRC-valid entry under the program's binary key whose payload
+           is no executable: the store serves it, exec must refuse it *)
+        Rp_support.Cas.put cache
+          ~key:
+            (Rp_support.Cas.key
+               [
+                 Cgen.version;
+                 Cgen.emit prog;
+                 cc.Native.identity;
+                 String.concat " " cc.Native.flags;
+               ])
+          ~kind:"native-bin" "not an executable\n";
+        (match Native.run ~cache ~cc prog with
+        | _ -> Alcotest.fail "a non-executable binary ran"
+        | exception Native.Error _ -> ());
+        let lad = Native.run_laddered ~cache ~interp ~cc:(Some cc) prog in
+        Util.check Alcotest.bool "answered natively" true
+          (lad.Native.l_mode = `Native);
+        Util.check Alcotest.bool "recorded as a recompile" true
+          (match lad.Native.l_degraded with
+          | Some r -> String.starts_with ~prefix:"recompiled: " r
+          | None -> false);
+        Util.check Alcotest.bool "interpreter's result" true
+          (same_result expected lad.Native.l_result);
+        let again = Native.run_laddered ~cache ~interp ~cc:(Some cc) prog in
+        Util.check Alcotest.bool "repaired entry serves cleanly" true
+          (again.Native.l_degraded = None && again.Native.l_cache_hit);
+        Util.check Alcotest.int "open fds" fds (open_fds ()));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* bench --native CLI contract                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -311,7 +409,7 @@ let () =
       ]
     | Some cc ->
       QCheck_alcotest.to_alcotest ~long:true (equivalence_prop cc)
-      :: error_path_tests cc
+      :: (error_path_tests cc @ cache_tests cc)
   in
   Alcotest.run "native"
     [
