@@ -8,11 +8,24 @@
     decision that affects observable counts is copied from the
     interpreter, statement for statement:
 
-    - one [TICK] per executed instruction, one per block terminator,
-      checking fuel after the increment and polling the deadline every
-      4096 operations with the interpreter's exact messages;
-    - loads/stores counted {e before} the access is checked (a trapping
-      access still counts, exactly as [count_load] precedes [Memory.load]);
+    - each block is cut into straight-line segments, each ending just
+      after a call (so a callee starts from an exact operation count),
+      the last one carrying the terminator's operation.  A segment opens
+      with one [SEG] bump of its static totals (operations, loads,
+      stores, total and per-function) when no check inside it could
+      fire: the fuel covers the whole segment and, under a deadline, no
+      count it passes through is a multiple of 4096.  Otherwise it runs
+      slow: every instruction and the terminator ticks exactly as the
+      interpreter's [tick] does (fuel checked after the increment, the
+      deadline polled every 4096 operations, the same messages), so the
+      fuel-limit point, the trap-versus-limit order and the "external
+      stop after N operations" count are exact;
+    - in a slow segment, loads/stores are counted {e before} the access
+      is checked (a trapping access still counts, exactly as
+      [count_load] precedes [Memory.load]).  A fast segment has counted
+      its whole total up front, so the trailer's counts are exact only
+      under [status ok]; after a trap, a limit or an invalid stop they may
+      overcount within one segment, and {!Native} discards them then;
     - calls enter with depth-check-then-arity-check, frame objects are
       allocated in declaration order and released in the same order, so
       base numbering — observable through trap messages — is identical;
@@ -34,7 +47,7 @@ open Rp_ir
 module P = Rp_exec.Precomp
 module V = Rp_exec.Value
 
-let version = "rpcc-cgen/1"
+let version = "rpcc-cgen/2"
 
 let mangle idx name =
   let b = Bytes.of_string name in
@@ -180,12 +193,12 @@ static double g_t0, g_budget;
 static const char *g_trailer_path;
 static char g_obuf[1 << 16];
 
-static void rt_trap(const char *fmt, ...) __attribute__((noreturn, format(printf, 1, 2)));
-static void rt_limit(const char *fmt, ...) __attribute__((noreturn, format(printf, 1, 2)));
-static void rt_invalid(const char *fmt, ...) __attribute__((noreturn, format(printf, 1, 2)));
-static void rt_badload(val v) __attribute__((noreturn));
-static void rt_badstore(val v) __attribute__((noreturn));
-static void rt_badcall(val v) __attribute__((noreturn));
+static void rt_trap(const char *fmt, ...) __attribute__((noreturn, cold, format(printf, 1, 2)));
+static void rt_limit(const char *fmt, ...) __attribute__((noreturn, cold, format(printf, 1, 2)));
+static void rt_invalid(const char *fmt, ...) __attribute__((noreturn, cold, format(printf, 1, 2)));
+static void rt_badload(val v) __attribute__((noreturn, cold));
+static void rt_badstore(val v) __attribute__((noreturn, cold));
+static void rt_badcall(val v) __attribute__((noreturn, cold));
 static void rt_val_str(char *dst, size_t n, val v);
 static void rt_trailer(const char *status, const char *msg, const val *ret);
 static val rt_builtin(int bid, i64 site, i64 nargs, val *args);
@@ -276,8 +289,11 @@ static i64 rt_alloc(i64 tag, i64 size) {
   return g_nobjs; /* bases are 1-based, dense, in allocation order */
 }
 
-static obj *rt_find(i64 b) {
-  if (b < 1 || b > g_nobjs) rt_trap("access to invalid base %lld", b);
+/* The checks run on every access, so their fast paths inline into the
+   emitted bodies; only the trap calls (noreturn, cold) stay out of line. */
+RT_INL obj *rt_find(i64 b) {
+  if (__builtin_expect(b < 1 || b > g_nobjs, 0))
+    rt_trap("access to invalid base %lld", b);
   return &g_objs[b - 1];
 }
 
@@ -287,10 +303,11 @@ static void rt_release(i64 b) {
   free(o->cells); o->cells = 0;
 }
 
-static obj *rt_checked(i64 b, i64 off) {
+RT_INL obj *rt_checked(i64 b, i64 off) {
   obj *o = rt_find(b);
-  if (!o->live) rt_trap("access to dead object '%s'", g_tagname[o->tag]);
-  if (off < 0 || off >= o->size)
+  if (__builtin_expect(!o->live, 0))
+    rt_trap("access to dead object '%s'", g_tagname[o->tag]);
+  if (__builtin_expect(off < 0 || off >= o->size, 0))
     rt_trap("out-of-bounds access to '%s' (offset %lld, size %lld)",
             g_tagname[o->tag], off, o->size);
   return o;
@@ -305,12 +322,12 @@ RT_INL i64 rt_gbase(i64 id) {
   return b;
 }
 
-static void rt_check_ts(i64 base, const u64 *ts, const char *op, const char *pps) {
+RT_INL void rt_check_ts(i64 base, const u64 *ts, const char *op, const char *pps) {
   if (!g_check_tags) return;
   obj *o = rt_find(base);
   i64 id = o->tag;
   int member = id >= 0 && id < NTS_BITS && ((ts[id >> 6] >> (id & 63)) & 1);
-  if (!member)
+  if (__builtin_expect(!member, 0))
     rt_trap("tag-set violation in %s: object '%s' not in static tag set %s",
             op, g_tagname[id], pps);
 }
@@ -494,14 +511,33 @@ RT_INL val rt_f2i(val v) {
   return vint(norm63(x));
 }
 
-#define TICK(fi) do { g_ops++; g_fops[fi]++; \
-  if (__builtin_expect(g_ops > g_fuel, 0)) \
-    rt_limit("fuel exhausted (%lld operations)", g_fuel); \
-  if (__builtin_expect((g_ops & 4095) == 0, 0) && g_has_deadline \
-      && rt_now() - g_t0 > g_budget) \
-    rt_limit("external stop after %lld operations", g_ops); } while (0)
-#define CLOAD(fi) (g_loads++, g_floads[fi]++)
-#define CSTORE(fi) (g_stores++, g_fstores[fi]++)
+/* The interpreter's per-operation accounting: count, then check fuel,
+   then poll the deadline on every 4096th operation.  Only slow segments
+   (below) tick one operation at a time, so it stays out of line. */
+static void __attribute__((noinline, cold)) rt_tick(int fi) {
+  g_ops++; g_fops[fi]++;
+  if (g_ops > g_fuel) rt_limit("fuel exhausted (%lld operations)", g_fuel);
+  if ((g_ops & 4095) == 0 && g_has_deadline && rt_now() - g_t0 > g_budget)
+    rt_limit("external stop after %lld operations", g_ops);
+}
+
+/* A straight-line segment of n operations (nl loads, ns stores) is
+   counted in one bump at its entry when no tick inside it could fire:
+   the fuel still covers all n, and under a deadline no operation count
+   in (g_ops, g_ops + n] is a multiple of 4096.  Otherwise the segment
+   runs [slow]: each operation ticks and counts through STEP* exactly
+   where the interpreter would, loads and stores before the access. */
+#define SEG(fi, n, nl, ns) do { \
+  slow = !__builtin_expect(g_ops + (n) <= g_fuel \
+      && ((g_ops & 4095) + (n) < 4096 || !g_has_deadline), 1); \
+  if (!slow) { g_ops += (n); g_fops[fi] += (n); \
+    if (nl) { g_loads += (nl); g_floads[fi] += (nl); } \
+    if (ns) { g_stores += (ns); g_fstores[fi] += (ns); } } } while (0)
+#define STEP(fi) do { if (__builtin_expect(slow, 0)) rt_tick(fi); } while (0)
+#define STEP_LOAD(fi) do { if (__builtin_expect(slow, 0)) \
+  { rt_tick(fi); g_loads++; g_floads[fi]++; } } while (0)
+#define STEP_STORE(fi) do { if (__builtin_expect(slow, 0)) \
+  { rt_tick(fi); g_stores++; g_fstores[fi]++; } } while (0)
 |}
 
 let trailer_runtime =
@@ -714,8 +750,18 @@ let emit_call ctx buf fi (c : P.dcall) =
   ignore ctx;
   bpf buf "}\n"
 
+(** What an instruction adds to its segment's static totals:
+    (loads, stores).  Every instruction is also one operation. *)
+let counted : P.dinstr -> int * int = function
+  | P.Dload_tag _ | P.Dloadg _ -> (1, 0)
+  | P.Dstore_tag _ | P.Dstoreg _ -> (0, 1)
+  | _ -> (0, 0)
+
 let emit_instr ctx buf fi (i : P.dinstr) =
-  bpf buf "  TICK(%d);\n" fi;
+  (match counted i with
+  | 1, _ -> bpf buf "  STEP_LOAD(%d);\n" fi
+  | _, 1 -> bpf buf "  STEP_STORE(%d);\n" fi
+  | _ -> bpf buf "  STEP(%d);\n" fi);
   match i with
   | P.Dloadi (d, V.Vint n) -> bpf buf "  r%d = vint(%LdLL);\n" d (Int64.of_int n)
   | P.Dloadi (d, V.Vflt f) ->
@@ -736,24 +782,20 @@ let emit_instr ctx buf fi (i : P.dinstr) =
     | fn -> bpf buf "  r%d = %s(r%d, r%d);\n" d fn s1 s2)
   | P.Dcopy (d, s) -> bpf buf "  r%d = r%d;\n" d s
   | P.Dload_tag (d, tr) -> (
-    bpf buf "  CLOAD(%d);\n" fi;
     match base_of ctx tr with
     | Ok e -> bpf buf "  r%d = rt_load(%s, 0);\n" d e
     | Error trap -> bpf buf "  %s\n" trap)
   | P.Dstore_tag (tr, s) -> (
-    bpf buf "  CSTORE(%d);\n" fi;
     match base_of ctx tr with
     | Ok e -> bpf buf "  rt_store(%s, 0, r%d);\n" e s
     | Error trap -> bpf buf "  %s\n" trap)
   | P.Dloadg (d, a, ts) ->
-    bpf buf "  CLOAD(%d);\n" fi;
     bpf buf "  if (r%d.k == K_PTR) { " a;
     if not (Tagset.is_univ ts) then
       bpf buf "rt_check_ts(r%d.a, ts_%d, \"Load\", ts_pp_%d); " a
         (tagset_id ctx ts) (tagset_id ctx ts);
     bpf buf "r%d = rt_load(r%d.a, r%d.b); } else rt_badload(r%d);\n" d a a a
   | P.Dstoreg (a, s, ts) ->
-    bpf buf "  CSTORE(%d);\n" fi;
     bpf buf "  if (r%d.k == K_PTR) { " a;
     if not (Tagset.is_univ ts) then
       bpf buf "rt_check_ts(r%d.a, ts_%d, \"Store\", ts_pp_%d); " a
@@ -761,6 +803,33 @@ let emit_instr ctx buf fi (i : P.dinstr) =
     bpf buf "rt_store(r%d.a, r%d.b, r%d); } else rt_badstore(r%d);\n" a a s a
   | P.Dcall c -> emit_call ctx buf fi c
   | P.Dtrap msg -> bpf buf "  rt_trap(\"%%s\", \"%s\");\n" (c_escape msg)
+
+(** A block cut into segments (see the module header): each ends just
+    after a call, and the last one also carries the terminator's tick. *)
+let emit_block_body ctx buf fi (b : P.dblock) =
+  let ins = b.P.dinstrs in
+  let len = Array.length ins in
+  let rec segment lo =
+    let rec stop k =
+      if k = len then (k, true)
+      else match ins.(k) with P.Dcall _ -> (k + 1, false) | _ -> stop (k + 1)
+    in
+    let hi, last = stop lo in
+    let seg = Array.sub ins lo (hi - lo) in
+    let nl, ns =
+      Array.fold_left
+        (fun (nl, ns) i ->
+          let l, s = counted i in
+          (nl + l, ns + s))
+        (0, 0) seg
+    in
+    bpf buf "  SEG(%d, %d, %d, %d);\n" fi
+      (Array.length seg + Bool.to_int last)
+      nl ns;
+    Array.iter (emit_instr ctx buf fi) seg;
+    if last then bpf buf "  STEP(%d);\n" fi else segment hi
+  in
+  segment 0
 
 let emit_func ctx buf (g : P.dfunc) =
   let fi = g.P.didx in
@@ -780,13 +849,12 @@ let emit_func ctx buf (g : P.dfunc) =
       bpf buf "  i64 fr%d = rt_alloc(%d, %d); (void)fr%d;\n" i t.Tag.id
         t.Tag.size i)
     g.P.dlocals;
-  bpf buf "  val rret = vundef();\n";
+  bpf buf "  val rret = vundef();\n  int slow = 0;\n";
   bpf buf "  %s\n" (goto_code g g.P.dentry);
   Array.iteri
     (fun bi (b : P.dblock) ->
       bpf buf "L%d:\n" bi;
-      Array.iter (emit_instr ctx buf fi) b.P.dinstrs;
-      bpf buf "  TICK(%d);\n" fi;
+      emit_block_body ctx buf fi b;
       match b.P.dterm with
       | P.Djump l -> bpf buf "  %s\n" (goto_code g l)
       | P.Dcbr (r, a, bb) ->

@@ -332,30 +332,53 @@ let bin_key ~cc csrc =
   Rp_support.Cas.key
     [ Cgen.version; csrc; cc.identity; String.concat " " cc.flags ]
 
+(* Binary keys some domain of this process is looking up or compiling.
+   A second domain asking for the same key waits for the first to finish
+   and then reads the store, so concurrent jobs on one C program run cc
+   once. *)
+let inflight : (string, unit) Hashtbl.t = Hashtbl.create 16
+let inflight_lock = Mutex.create ()
+let inflight_done = Condition.create ()
+
+let exclusively key f =
+  Mutex.lock inflight_lock;
+  while Hashtbl.mem inflight key do
+    Condition.wait inflight_done inflight_lock
+  done;
+  Hashtbl.replace inflight key ();
+  Mutex.unlock inflight_lock;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock inflight_lock;
+      Hashtbl.remove inflight key;
+      Condition.broadcast inflight_done;
+      Mutex.unlock inflight_lock)
+
 (* Reads the cache unless [fresh] (a CRC-valid but behaviourally bad
-   entry would just be refetched); a compile always writes through,
-   repairing the entry for every later job on this key. *)
+   entry would just be refetched, so a recompile neither waits nor
+   reads); a compile always writes through, repairing the entry for
+   every later job on this key. *)
 let compile_c ?cache ~fresh ~cc csrc =
-  let store = Option.map (fun cas -> (cas, bin_key ~cc csrc)) cache in
-  let cached =
-    match store with
-    | Some (cas, key) when not fresh ->
-      Rp_support.Cas.get cas ~key ~kind:"native-bin"
-    | _ -> None
-  in
-  match cached with
-  | Some bytes ->
-    let bin = Filename.temp_file "rpcc_native" ".bin" in
-    write_file bin bytes;
-    Unix.chmod bin 0o700;
-    (bin, true)
-  | None ->
+  let compile store =
     let bin = cc_compile ~cc csrc in
     Option.iter
       (fun (cas, key) ->
         Rp_support.Cas.put cas ~key ~kind:"native-bin" (read_file bin))
       store;
     (bin, false)
+  in
+  match cache with
+  | None -> compile None
+  | Some cas when fresh -> compile (Some (cas, bin_key ~cc csrc))
+  | Some cas ->
+    let key = bin_key ~cc csrc in
+    exclusively key (fun () ->
+        match Rp_support.Cas.get cas ~key ~kind:"native-bin" with
+        | Some bytes ->
+          let bin = Filename.temp_file "rpcc_native" ".bin" in
+          write_file bin bytes;
+          Unix.chmod bin 0o700;
+          (bin, true)
+        | None -> compile (Some (cas, key)))
 
 let compile ?cache ~cc prog = compile_c ?cache ~fresh:false ~cc (Cgen.emit prog)
 
@@ -370,7 +393,11 @@ let checksum_of_string s =
 
 (* Returns the result plus the binary's self-timed [main] duration in ms
    (from the trailer's [elapsed_ns]) — the native analogue of interpreter
-   run time, excluding fork/exec/loader overhead the harness pays. *)
+   run time, excluding fork/exec/loader overhead the harness pays.  The
+   trailer's counts are read only under [status ok]: after a trap, a
+   limit or an invalid stop the emitted code may have counted ahead by
+   part of one straight-line segment (see {!Cgen}), and the raised
+   exception carries only the message. *)
 let exec ?(fuel = 400_000_000) ?(max_depth = 100_000) ?deadline bin :
     Interp.result * float =
   let trailer_path = Filename.temp_file "rpcc_trailer" ".txt" in

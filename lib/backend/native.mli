@@ -52,6 +52,9 @@ type trailer = {
   ret : Rp_exec.Value.t;
   checksum : int;
   ops : int;
+      (** [ops]/[loads]/[stores] and the [funcs] rows are exact only under
+          [`Ok]: after a trap, limit or invalid stop the binary may have
+          counted ahead within one straight-line segment *)
   loads : int;
   stores : int;
   outlen : int;  (** bytes the binary wrote to stdout *)
@@ -78,6 +81,9 @@ val compile : ?cache:Rp_support.Cas.t -> cc:cc -> Rp_ir.Program.t -> string * bo
     [Cas.key [Cgen.version; emitted C; cc identity; cc flags]]: binaries
     are keyed by the code cc sees, not by program × configuration, so
     grid cells whose configurations emit the same C share one binary.
+    Domains of one process asking for the same key at once run cc once:
+    a later caller waits for the compile in flight, then reads the
+    store.
     The compiler runs sandboxed (60 s CPU, 4 GiB address space, 512 MiB
     output, 120 s wall clock).  Raises {!Error} if cc fails. *)
 

@@ -311,6 +311,73 @@ let same_result (a : I.result) (b : I.result) =
   a.I.output = b.I.output && a.I.checksum = b.I.checksum
   && a.I.total = b.I.total && a.I.per_func = b.I.per_func
 
+(* ------------------------------------------------------------------ *)
+(* Segment-batched counting                                            *)
+(* ------------------------------------------------------------------ *)
+
+let outcome run =
+  match run () with
+  | (_ : I.result) -> "ok"
+  | exception I.Resource_limit m -> "limit: " ^ m
+  | exception Rp_exec.Value.Runtime_error m -> "trap: " ^ m
+
+(* The emitted C counts a straight-line segment in one bump at its entry
+   and falls back to per-operation ticks only when the fuel or a deadline
+   poll could fire inside it.  These pin that the batching is
+   unobservable: for every fuel value around the point where a trap
+   overtakes the fuel limit, both backends give the same outcome, and a
+   deadline stop still lands on a 4096-operation poll. *)
+let batching_tests cc =
+  [
+    Util.tc_slow "batching: fuel limits and traps land where the \
+                  interpreter's do"
+      (fun () ->
+        with_store @@ fun cache ->
+        (* a loop that calls a function and loads a global, then a
+           division by zero: in [main], after the loop, or in the callee
+           on the last iteration, whose caller has work left in the
+           call's segment *)
+        let loop callee tail =
+          Printf.sprintf
+            "int g; int f(int x) { return %s; }\n\
+             int main() { int i; int s; s = 0;\n\
+            \  for (i = 0; i < 4; i++) { s = s + f(i) + g; }\n\
+            \  return %s; }"
+            callee tail
+        in
+        List.iter
+          (fun src ->
+            let prog = Util.compile src in
+            let interp fuel = outcome (fun () -> I.run ~fuel prog) in
+            let native fuel =
+              outcome (fun () -> Native.run ~fuel ~cache ~cc prog)
+            in
+            let rec first_trap fuel =
+              if String.starts_with ~prefix:"trap" (interp fuel) then fuel
+              else first_trap (fuel + 1)
+            in
+            let t = first_trap 0 in
+            Util.check Alcotest.bool "the window holds limits" true (t > 40);
+            for fuel = max 0 (t - 60) to t + 20 do
+              Util.check Alcotest.string
+                (Printf.sprintf "outcome at fuel %d" fuel)
+                (interp fuel) (native fuel)
+            done)
+          [ loop "x + g" "s / g"; loop "10 / (3 - x)" "s" ]);
+    Util.tc_slow "batching: a deadline stops on a 4096-operation poll"
+      (fun () ->
+        let prog =
+          Util.compile
+            "int main() { int i; i = 0; while (1) { i = i + 1; } return i; }"
+        in
+        match Native.run ~fuel:(1 lsl 50) ~deadline:0.05 ~cc prog with
+        | _ -> Alcotest.fail "the loop ended"
+        | exception I.Resource_limit m ->
+          Util.check Alcotest.bool ("stopped: " ^ m) true (I.stopped m);
+          let ops = Scanf.sscanf m "external stop after %d operations" Fun.id in
+          Util.check Alcotest.int "ops mod 4096" 0 (ops mod 4096));
+  ]
+
 let cache_tests cc =
   [
     Util.tc_slow "binary cache: configs that emit the same C share a binary"
@@ -327,6 +394,29 @@ let cache_tests cc =
           (compile "modref/with");
         Util.check Alcotest.bool "pointer/with hits" true
           (compile "pointer/with");
+        Util.check Alcotest.int "native-bin objects" 1
+          (List.length (native_bins cache)));
+    Util.tc_slow "binary cache: two domains compiling one program run cc once"
+      (fun () ->
+        with_store @@ fun cache ->
+        let prog = Util.compile "int main() { print_int(6 * 7); return 0; }" in
+        let go = Atomic.make false in
+        let compile () =
+          while not (Atomic.get go) do
+            Domain.cpu_relax ()
+          done;
+          let bin, hit = Native.compile ~cache ~cc prog in
+          Sys.remove bin;
+          hit
+        in
+        let ds = List.init 2 (fun _ -> Domain.spawn compile) in
+        Atomic.set go true;
+        let hits = List.map Domain.join ds in
+        Util.check Alcotest.int "one miss" 1
+          (List.length (List.filter not hits));
+        let st = Rp_support.Cas.stats cache in
+        Util.check Alcotest.int "cas misses" 1 st.Rp_support.Cas.misses;
+        Util.check Alcotest.int "cas puts" 1 st.Rp_support.Cas.puts;
         Util.check Alcotest.int "native-bin objects" 1
           (List.length (native_bins cache)));
     Util.tc_slow "ladder: a cached binary the kernel will not exec is \
@@ -409,7 +499,7 @@ let () =
       ]
     | Some cc ->
       QCheck_alcotest.to_alcotest ~long:true (equivalence_prop cc)
-      :: (error_path_tests cc @ cache_tests cc)
+      :: (error_path_tests cc @ batching_tests cc @ cache_tests cc)
   in
   Alcotest.run "native"
     [
